@@ -514,10 +514,11 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
 
   std::string jsonl_text;
   if (!opt.no_trace) {
+    const std::vector<obs::TraceRecord> merged = swarm.merged_trace();
     std::ostringstream jsonl;
-    obs::write_jsonl(jsonl, swarm.merged_trace());
+    obs::write_jsonl(jsonl, merged);
     jsonl_text = jsonl.str();
-    result.trace_records = swarm.merged_trace().size();
+    result.trace_records = merged.size();
     char fnv_hex[17];
     std::snprintf(fnv_hex, sizeof fnv_hex, "%016llx",
                   static_cast<unsigned long long>(fnv1a(jsonl_text)));

@@ -15,6 +15,8 @@ void Sha1::reset() {
 }
 
 void Sha1::update(ByteView data) {
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

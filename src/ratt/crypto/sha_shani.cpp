@@ -282,6 +282,8 @@ void hash_one_lane(const Sha1::Midstate* mid, const Sha1xN::LaneMsg& msg,
   std::size_t buf_len = 0;
   const ByteView parts[2] = {msg.head, msg.tail};
   for (const ByteView part : parts) {
+    // An empty part may carry a null data(), which memcpy must never see.
+    if (part.empty()) continue;
     std::size_t off = 0;
     total += part.size();
     if (buf_len > 0) {

@@ -66,6 +66,18 @@ class RingRecorder : public TraceSink {
   /// "obs.trace.dropped" counter by convention).
   void set_dropped_counter(Counter* counter) { dropped_counter_ = counter; }
 
+  /// Live records (at most capacity()).
+  std::size_t size() const { return size_; }
+
+  /// The i-th surviving record, oldest first (i < size()); reads the ring
+  /// in place, so snapshot()[i] == at(i) without the copy.
+  const TraceRecord& at(std::size_t i) const {
+    // Oldest record sits at head_ once the ring has wrapped.
+    std::size_t slot = (size_ == ring_.size() ? head_ : 0) + i;
+    if (slot >= ring_.size()) slot -= ring_.size();
+    return ring_[slot];
+  }
+
   /// Surviving records, oldest first.
   std::vector<TraceRecord> snapshot() const;
 
@@ -98,15 +110,20 @@ class TeeSink : public TraceSink {
 };
 
 /// Deterministically merge per-shard trace streams (the sharded Swarm's
-/// per-shard RingRecorder snapshots) into one canonical stream, ordered
-/// by (sim_time_ms, device_id) with ties within one device keeping their
-/// shard-stream order. Each device lives in exactly one shard and each
-/// shard's stream is independent of scheduling, so the merged stream is
-/// byte-identical (once exported) at any thread count — and, as long as
-/// no ring dropped records, at any shard count, including the legacy
-/// single-queue layout.
+/// per-shard rings, read in place) into one canonical stream, ordered by
+/// (sim_time_ms, device_id) with ties within one device keeping their
+/// ring order — exactly a stable sort of the rings' concatenation. Each
+/// device lives in exactly one shard and each shard's stream is
+/// independent of scheduling, so the merged stream is byte-identical
+/// (once exported) at any thread count — and, as long as no ring dropped
+/// records, at any shard count, including the legacy single-queue layout.
+///
+/// A ring is not itself time-ordered (prover records carry the device's
+/// MCU clock, verifier records the queue clock), so each ring is
+/// key-sorted first and the sorted rings are then k-way merged; every
+/// record is copied once, ring to output.
 std::vector<TraceRecord> merge_traces(
-    std::vector<std::vector<TraceRecord>> shards);
+    std::span<const RingRecorder* const> rings);
 
 /// One JSON object per line, keys in schema order. Deterministic: shortest
 /// round-trip doubles, no locale dependence.

@@ -73,9 +73,16 @@ double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ < 5) {
     // Exact nearest-rank on the (small) stored prefix.
-    double sorted[5];
-    std::copy(height_, height_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
+    // Insertion sort of at most four values (std::sort's 16-element
+    // insertion threshold trips GCC's -Warray-bounds under UBSan).
+    double sorted[5] = {};
+    for (std::size_t i = 0; i < count_; ++i) {
+      std::size_t j = i;
+      for (; j > 0 && sorted[j - 1] > height_[i]; --j) {
+        sorted[j] = sorted[j - 1];
+      }
+      sorted[j] = height_[i];
+    }
     const double rank = q_ * static_cast<double>(count_);
     auto idx = static_cast<std::uint64_t>(std::ceil(rank));
     if (idx == 0) idx = 1;

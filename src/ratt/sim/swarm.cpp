@@ -266,12 +266,12 @@ void Swarm::attach_sharded_observer(obs::Registry* registry,
 }
 
 std::vector<obs::TraceRecord> Swarm::merged_trace() const {
-  std::vector<std::vector<obs::TraceRecord>> per_shard;
-  per_shard.reserve(shards_.size());
+  std::vector<const obs::RingRecorder*> rings;
+  rings.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    if (shard->ring != nullptr) per_shard.push_back(shard->ring->snapshot());
+    if (shard->ring != nullptr) rings.push_back(shard->ring.get());
   }
-  return obs::merge_traces(std::move(per_shard));
+  return obs::merge_traces(rings);
 }
 
 obs::prof::ProfileTable Swarm::merged_profile() const {

@@ -106,6 +106,27 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// An empty ByteView (null data()) fed while bytes sit in the block buffer
+// must be a no-op — and must never reach memcpy with a null source, which
+// UBSan rejects even at length zero.
+TEST(Sha1, EmptyViewMidStream) {
+  Sha1 h;
+  h.update(from_string("ab"));
+  h.update(ByteView{});
+  h.update(from_string("c"));
+  h.update(ByteView{});
+  EXPECT_EQ(h.finish(), Sha1::hash(from_string("abc")));
+}
+
+TEST(Sha256, EmptyViewMidStream) {
+  Sha256 h;
+  h.update(from_string("ab"));
+  h.update(ByteView{});
+  h.update(from_string("c"));
+  h.update(ByteView{});
+  EXPECT_EQ(h.finish(), Sha256::hash(from_string("abc")));
+}
+
 // Padding edge cases: lengths around the 56-byte threshold where the
 // length field no longer fits the current block.
 class ShaPaddingEdge : public ::testing::TestWithParam<std::size_t> {};

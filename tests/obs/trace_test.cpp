@@ -2,20 +2,23 @@
 // golden-line format the schema in docs/OBSERVABILITY.md pins down.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ratt/obs/trace.hpp"
 
 namespace ratt::obs {
 namespace {
 
-TraceRecord rec(double t, std::uint64_t dev, const char* kind,
-                const char* outcome) {
+TraceRecord rec(double t, std::uint64_t dev, std::string kind,
+                std::string outcome) {
   TraceRecord r;
   r.sim_time_ms = t;
   r.device_id = dev;
-  r.kind = kind;
-  r.outcome = outcome;
+  r.kind = std::move(kind);
+  r.outcome = std::move(outcome);
   return r;
 }
 
@@ -93,6 +96,80 @@ TEST(JsonlExport, OneLinePerRecord) {
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
   EXPECT_NE(text.find("\"device_id\":1"), std::string::npos);
   EXPECT_NE(text.find("\"outcome\":\"not-fresh\""), std::string::npos);
+}
+
+// write_jsonl buffers lines and reuses each double field's last text;
+// whatever it streams must equal the line-at-a-time reference.
+std::string jsonl_reference(const std::vector<TraceRecord>& records) {
+  std::string out;
+  for (const auto& r : records) out += to_jsonl(r) + "\n";
+  return out;
+}
+
+std::string write_jsonl_text(const std::vector<TraceRecord>& records) {
+  std::ostringstream out;
+  write_jsonl(out, records);
+  return out.str();
+}
+
+TEST(JsonlWriter, CrossesFlushBoundary) {
+  std::vector<TraceRecord> records;
+  for (int i = 0; i < 3000; ++i) {
+    TraceRecord r = rec(0.25 * (i / 7), i % 13, "prover.handle",
+                        i % 5 == 0 ? "not-fresh" : "ok");
+    r.bytes = static_cast<std::uint64_t>(i);
+    r.round_id = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i);
+    records.push_back(r);
+  }
+  const std::string text = write_jsonl_text(records);
+  EXPECT_GT(text.size(), 3u * 64u * 1024u);
+  EXPECT_EQ(text, jsonl_reference(records));
+}
+
+TEST(JsonlWriter, MemoisedDoublesStayExact) {
+  const double values[] = {
+      1.5,  1.5,   1.5,  // repeats
+      2.25, 0.1,   2.25, 0.1,  // alternation
+      0.0,  -0.0,  0.0,  -0.0,  // equal as doubles, different text
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity(),
+      0.0};
+  std::vector<TraceRecord> records;
+  for (const double v : values) {
+    TraceRecord r = rec(v, 1, "k", "ok");
+    r.prover_ms = v;
+    r.verifier_ms = -v;
+    r.energy_mj = v * 2.0;
+    r.power_mw = v;
+    records.push_back(r);
+  }
+  const std::string text = write_jsonl_text(records);
+  EXPECT_EQ(text, jsonl_reference(records));
+  EXPECT_NE(text.find("\"sim_time_ms\":-0,"), std::string::npos);
+  EXPECT_NE(text.find("\"sim_time_ms\":0,"), std::string::npos);
+  EXPECT_NE(text.find("\"sim_time_ms\":5e-324,"), std::string::npos);
+}
+
+TEST(JsonlWriter, HostileLabelsEscapedInStream) {
+  std::vector<TraceRecord> records = {
+      rec(1.0, 0, "plain", "ok"),
+      rec(1.0, 0, "q\"uote", "back\\slash"),
+      rec(2.0, 1, std::string("ctl") + '\x01' + "\n\t", "ok"),
+      rec(2.0, 1, "plain", std::string(1, '\x1f')),
+      rec(3.0, 2, "", "ok")};
+  const std::string text = write_jsonl_text(records);
+  EXPECT_EQ(text, jsonl_reference(records));
+  EXPECT_NE(text.find("\"q\\\"uote\""), std::string::npos);
+  EXPECT_NE(text.find("\"back\\\\slash\""), std::string::npos);
+  EXPECT_NE(text.find("\"ctl\\u0001\\n\\t\""), std::string::npos);
+  EXPECT_NE(text.find("\"\\u001f\""), std::string::npos);
+  // Newline terminators are the only raw control bytes left.
+  for (const char c : text) {
+    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  }
 }
 
 TEST(CsvExport, HeaderPlusRows) {
