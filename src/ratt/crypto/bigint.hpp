@@ -80,7 +80,9 @@ class UInt {
     return ((limbs_[i / 32] >> (i % 32)) & 1) != 0;
   }
 
-  /// Index of the highest set bit, or -1 for zero.
+  /// Number of significant bits: one more than the index of the highest
+  /// set bit, and 0 for zero (so `for (i = k.bit_length(); i-- > 0;)`
+  /// visits every bit of k from the top down).
   constexpr int bit_length() const {
     for (std::size_t i = W; i-- > 0;) {
       if (limbs_[i] != 0) {
@@ -210,25 +212,51 @@ class UInt {
   std::array<std::uint32_t, W> limbs_{};
 };
 
-/// Remainder of a (2W wide) modulo m (W wide), by binary long division.
-/// Precondition: m != 0. Cost is O(bits) compare/subtract passes; fine for
-/// the few per-signature order-n reductions, while field arithmetic uses
-/// the dedicated pseudo-Mersenne path in fp160.cpp.
+/// a^-1 mod m by the binary extended Euclidean algorithm.
+/// Preconditions: m is an odd prime and 0 < a < m (std::domain_error
+/// otherwise). Keeps x1·a ≡ u and x2·a ≡ v (mod m)
+/// while (u, v) shrink from (a, m) to a pair containing 1. Not
+/// constant-time: the branch pattern depends on a.
 template <std::size_t W>
-UInt<W> mod_wide(const UInt<2 * W>& a, const UInt<W>& m) {
-  if (m.is_zero()) throw std::invalid_argument("mod_wide: zero modulus");
-  const UInt<2 * W> m_wide = m.template resized<2 * W>();
-  UInt<2 * W> rem;
-  for (int i = a.bit_length(); i-- > 0;) {
-    rem = rem.shifted_left(1);
-    if (a.bit(static_cast<std::size_t>(i))) {
-      rem.set_limb(0, rem.limb(0) | 1);
+UInt<W> inverse_mod_odd(const UInt<W>& a, const UInt<W>& m) {
+  if (a.is_zero() || a >= m) {
+    throw std::domain_error("inverse_mod_odd: operand not in [1, m)");
+  }
+  const UInt<W> one(1);
+  // x/2 mod m: odd x becomes (x + m)/2, with the add's carry shifted
+  // back in at the top (m may fill all W limbs).
+  auto halve = [&m](UInt<W>& x) {
+    std::uint32_t carry = 0;
+    if (x.is_odd()) carry = UInt<W>::add(x, m, x);
+    x = x.shifted_right(1);
+    x.set_limb(W - 1, x.limb(W - 1) | (carry << 31));
+  };
+  // x - y mod m, for x, y < m.
+  auto sub = [&m](UInt<W>& x, const UInt<W>& y) {
+    if (UInt<W>::sub(x, y, x) != 0) UInt<W>::add(x, m, x);
+  };
+  UInt<W> u = a;
+  UInt<W> v = m;
+  UInt<W> x1 = one;
+  UInt<W> x2;
+  while (u != one && v != one) {
+    while (!u.is_odd()) {
+      u = u.shifted_right(1);
+      halve(x1);
     }
-    if (rem >= m_wide) {
-      rem = rem - m_wide;
+    while (!v.is_odd()) {
+      v = v.shifted_right(1);
+      halve(x2);
+    }
+    if (u >= v) {
+      u = u - v;
+      sub(x1, x2);
+    } else {
+      v = v - u;
+      sub(x2, x1);
     }
   }
-  return rem.template resized<W>();
+  return u == one ? x1 : x2;
 }
 
 using U160 = UInt<5>;   // field elements of secp160r1

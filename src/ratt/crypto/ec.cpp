@@ -1,5 +1,10 @@
 #include "ratt/crypto/ec.hpp"
 
+#include <algorithm>
+#include <array>
+
+#include "ratt/crypto/modn.hpp"
+
 namespace ratt::crypto {
 
 namespace {
@@ -41,21 +46,21 @@ EcPoint to_affine(const Jacobian& p) {
   return EcPoint::make(p.x * z_inv2, p.y * z_inv2 * z_inv);
 }
 
-// dbl-2001-b (a = -3, which holds for secp160r1: a = p - 3).
+Fp160 twice(const Fp160& v) { return v + v; }
+
+// dbl-2001-b (a = -3, which holds for secp160r1: a = p - 3). Small
+// constant factors are additions, not field multiplications.
 Jacobian jacobian_double(const Jacobian& p) {
   if (p.is_infinity() || p.y.is_zero()) return Jacobian{};
-  const Fp160 two(std::uint64_t{2});
-  const Fp160 three(std::uint64_t{3});
-  const Fp160 four(std::uint64_t{4});
-  const Fp160 eight(std::uint64_t{8});
-
   const Fp160 delta = p.z.squared();
   const Fp160 gamma = p.y.squared();
-  const Fp160 beta = p.x * gamma;
-  const Fp160 alpha = three * (p.x - delta) * (p.x + delta);
-  const Fp160 x3 = alpha.squared() - eight * beta;
+  const Fp160 beta4 = twice(twice(p.x * gamma));
+  const Fp160 t = (p.x - delta) * (p.x + delta);
+  const Fp160 alpha = twice(t) + t;
+  const Fp160 x3 = alpha.squared() - twice(beta4);
   const Fp160 z3 = (p.y + p.z).squared() - gamma - delta;
-  const Fp160 y3 = alpha * (four * beta - x3) - eight * gamma.squared();
+  const Fp160 y3 =
+      alpha * (beta4 - x3) - twice(twice(twice(gamma.squared())));
   return Jacobian{x3, y3, z3};
 }
 
@@ -64,12 +69,11 @@ Jacobian jacobian_add_affine(const Jacobian& p, const EcPoint& q) {
   if (q.infinity) return p;
   if (p.is_infinity()) return to_jacobian(q);
 
-  const Fp160 two(std::uint64_t{2});
   const Fp160 z1z1 = p.z.squared();
   const Fp160 u2 = q.x * z1z1;
   const Fp160 s2 = q.y * p.z * z1z1;
   const Fp160 h = u2 - p.x;
-  const Fp160 r = two * (s2 - p.y);
+  const Fp160 r = twice(s2 - p.y);
 
   if (h.is_zero()) {
     if (r.is_zero()) return jacobian_double(p);
@@ -77,11 +81,11 @@ Jacobian jacobian_add_affine(const Jacobian& p, const EcPoint& q) {
   }
 
   const Fp160 hh = h.squared();
-  const Fp160 i = Fp160(std::uint64_t{4}) * hh;
+  const Fp160 i = twice(twice(hh));
   const Fp160 j = h * i;
   const Fp160 v = p.x * i;
-  const Fp160 x3 = r.squared() - j - two * v;
-  const Fp160 y3 = r * (v - x3) - two * p.y * j;
+  const Fp160 x3 = r.squared() - j - twice(v);
+  const Fp160 y3 = r * (v - x3) - twice(p.y * j);
   const Fp160 z3 = (p.z + h).squared() - z1z1 - hh;
   return Jacobian{x3, y3, z3};
 }
@@ -165,10 +169,12 @@ EcPoint Secp160r1::add(const EcPoint& p, const EcPoint& q) {
   return to_affine(jacobian_add_affine(to_jacobian(p), q));
 }
 
+// None of the scalar multiplications below is constant-time: the
+// simulated prover's timing model prices ECDSA analytically, and no
+// secret-dependent host timing crosses a trust boundary in this codebase.
+
 EcPoint Secp160r1::scalar_mul(const U192& k, const EcPoint& p) {
-  // Left-to-right double-and-add. Not constant-time: the simulated prover's
-  // timing model prices the operation analytically, and no secret-dependent
-  // timing crosses a trust boundary in this codebase.
+  // Left-to-right double-and-add.
   Jacobian result{};
   for (int i = k.bit_length(); i-- > 0;) {
     result = jacobian_double(result);
@@ -179,8 +185,77 @@ EcPoint Secp160r1::scalar_mul(const U192& k, const EcPoint& p) {
   return to_affine(result);
 }
 
+namespace {
+
+// Fixed-base comb (Lim-Lee) for k·G: kTeeth teeth kSpacing bits apart
+// cover 165 >= 161 bits, so any k mod n is kSpacing doublings and at most
+// kSpacing mixed additions.
+constexpr int kTeeth = 5;
+constexpr int kSpacing = 33;
+using CombTable = std::array<EcPoint, (1u << kTeeth) - 1>;
+
+// comb_table()[b - 1] = sum over the set bits t of b of 2^(t·kSpacing)·G.
+// Built once per process (132 doublings, 26 affine additions), then
+// read-only.
+const CombTable& comb_table() {
+  static const CombTable table = [] {
+    CombTable t;
+    EcPoint tooth = Secp160r1::generator();
+    for (unsigned j = 0; j < kTeeth; ++j) {
+      if (j > 0) {
+        Jacobian acc = to_jacobian(tooth);
+        for (int i = 0; i < kSpacing; ++i) acc = jacobian_double(acc);
+        tooth = to_affine(acc);
+      }
+      const unsigned bit = 1u << j;
+      t[bit - 1] = tooth;
+      for (unsigned low = 1; low < bit; ++low) {
+        t[bit + low - 1] = Secp160r1::add(t[low - 1], tooth);
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
 EcPoint Secp160r1::scalar_mul_base(const U192& k) {
-  return scalar_mul(k, generator());
+  // k·G = (k mod n)·G; the residue fits the comb's 165 bits.
+  const U192 r = modn(k.resized<12>());
+  const CombTable& table = comb_table();
+  Jacobian result{};
+  for (int i = kSpacing; i-- > 0;) {
+    result = jacobian_double(result);
+    unsigned b = 0;
+    for (unsigned t = 0; t < kTeeth; ++t) {
+      b |= static_cast<unsigned>(r.bit(t * kSpacing + i)) << t;
+    }
+    if (b != 0) result = jacobian_add_affine(result, table[b - 1]);
+  }
+  return to_affine(result);
+}
+
+EcPoint Secp160r1::joint_mul(const U192& u1, const U192& u2,
+                             const EcPoint& q) {
+  // Shamir's trick: one shared doubling chain; each bit pair adds G, Q or
+  // the precomputed G + Q (infinity when Q = -G, which adds nothing).
+  const EcPoint& g = generator();
+  const EcPoint g_plus_q = add(g, q);
+  Jacobian result{};
+  for (int i = std::max(u1.bit_length(), u2.bit_length()); i-- > 0;) {
+    result = jacobian_double(result);
+    const bool b1 = u1.bit(static_cast<std::size_t>(i));
+    const bool b2 = u2.bit(static_cast<std::size_t>(i));
+    if (b1 && b2) {
+      result = jacobian_add_affine(result, g_plus_q);
+    } else if (b1) {
+      result = jacobian_add_affine(result, g);
+    } else if (b2) {
+      result = jacobian_add_affine(result, q);
+    }
+  }
+  return to_affine(result);
 }
 
 }  // namespace ratt::crypto

@@ -54,11 +54,19 @@ class Secp160r1 {
   static EcPoint add(const EcPoint& p, const EcPoint& q);
   static EcPoint double_point(const EcPoint& p);
 
-  /// Scalar multiplication k·P, double-and-add over the bits of k.
+  /// Scalar multiplication k·P: left-to-right double-and-add in Jacobian
+  /// coordinates, one field inversion at the end. Not constant-time.
   static EcPoint scalar_mul(const U192& k, const EcPoint& p);
 
-  /// k·G.
+  /// k·G by a fixed-base comb over k mod n: 33 doublings and at most 33
+  /// mixed additions against a 31-point table built on first use. Not
+  /// constant-time.
   static EcPoint scalar_mul_base(const U192& k);
+
+  /// u1·G + u2·Q in one joint double-and-add (Shamir's trick): a single
+  /// doubling chain over the longer scalar, adding G, Q or G + Q per bit
+  /// pair. Q must be on the curve. Not constant-time.
+  static EcPoint joint_mul(const U192& u1, const U192& u2, const EcPoint& q);
 };
 
 }  // namespace ratt::crypto

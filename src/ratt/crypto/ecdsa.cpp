@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ratt/crypto/drbg.hpp"
+#include "ratt/crypto/modn.hpp"
 #include "ratt/crypto/sha1.hpp"
 
 namespace ratt::crypto {
@@ -11,47 +12,6 @@ namespace {
 
 const U192& order() { return Secp160r1::order(); }
 
-U192 modn(const U192& a) {
-  // a < 2^192 and n > 2^160, so the quotient is small, but use the generic
-  // reduction for clarity.
-  return mod_wide(a.resized<12>(), order());
-}
-
-U192 modn_add(const U192& a, const U192& b) {
-  // Inputs are < n, so a widened add then single reduce suffices.
-  U192 sum;
-  const std::uint32_t carry = U192::add(a, b, sum);
-  if (carry != 0) {
-    // 192-bit overflow cannot happen for inputs < n < 2^161.
-    throw std::logic_error("modn_add: inputs out of range");
-  }
-  if (sum >= order()) sum = sum - order();
-  return sum;
-}
-
-U192 modn_mul(const U192& a, const U192& b) {
-  return mod_wide(mul_wide(a, b), order());
-}
-
-U192 modn_pow(const U192& base, const U192& e) {
-  U192 result(1);
-  U192 acc = base;
-  const int bits = e.bit_length();
-  for (int i = 0; i < bits; ++i) {
-    if (e.bit(static_cast<std::size_t>(i))) {
-      result = modn_mul(result, acc);
-    }
-    acc = modn_mul(acc, acc);
-  }
-  return result;
-}
-
-// n is prime (secp160r1 has cofactor 1), so Fermat inversion applies.
-U192 modn_inv(const U192& a) {
-  if (a.is_zero()) throw std::domain_error("modn_inv: zero");
-  return modn_pow(a, order() - U192(2));
-}
-
 /// Message digest as an integer modulo n (SHA-1 is 160 bits < 161 = |n|,
 /// so no truncation is needed).
 U192 digest_to_scalar(ByteView message) {
@@ -59,7 +19,7 @@ U192 digest_to_scalar(ByteView message) {
   Bytes padded(U192::kBytes, 0);
   std::copy(digest.begin(), digest.end(),
             padded.begin() + (U192::kBytes - digest.size()));
-  return modn(U192::from_bytes_be(padded));
+  return modn(U192::from_bytes_be(padded).resized<12>());
 }
 
 /// Scalar in [1, n-1] from a DRBG, by rejection sampling.
@@ -120,7 +80,7 @@ EcdsaSignature ecdsa_sign(const U192& d, ByteView message) {
     const U192 k = random_scalar(drbg);
     const EcPoint big_r = Secp160r1::scalar_mul_base(k);
     // big_r cannot be infinity for k in [1, n-1].
-    const U192 r = modn(big_r.x.value().resized<6>());
+    const U192 r = modn(big_r.x.value().resized<12>());
     if (r.is_zero()) continue;
     const U192 s = modn_mul(modn_inv(k), modn_add(e, modn_mul(r, d)));
     if (s.is_zero()) continue;
@@ -139,10 +99,9 @@ bool ecdsa_verify(const EcPoint& q, ByteView message,
   const U192 u1 = modn_mul(e, w);
   const U192 u2 = modn_mul(sig.r, w);
 
-  const EcPoint x = Secp160r1::add(Secp160r1::scalar_mul_base(u1),
-                                   Secp160r1::scalar_mul(u2, q));
+  const EcPoint x = Secp160r1::joint_mul(u1, u2, q);
   if (x.infinity) return false;
-  const U192 v = modn(x.x.value().resized<6>());
+  const U192 v = modn(x.x.value().resized<12>());
   return v == sig.r;
 }
 

@@ -1,8 +1,9 @@
 // Prime-field arithmetic modulo the secp160r1 field prime
 // p = 2^160 - 2^31 - 1.
 //
-// The prime is pseudo-Mersenne, so products are reduced with two rounds of
-// "fold the high half down as hi*(2^31+1)" instead of generic division.
+// The prime is pseudo-Mersenne, so products are reduced on 64-bit words
+// with two rounds of "fold the high half down as hi*(2^31+1)" instead of
+// generic division.
 #pragma once
 
 #include <optional>
@@ -39,7 +40,8 @@ class Fp160 {
   Fp160 negated() const;
   Fp160 squared() const { return *this * *this; }
 
-  /// Multiplicative inverse; throws std::domain_error on zero.
+  /// Multiplicative inverse (binary extended Euclid); throws
+  /// std::domain_error on zero.
   Fp160 inverse() const;
 
   /// Square root, if one exists (p = 3 mod 4, so a^((p+1)/4) works).
@@ -52,5 +54,13 @@ class Fp160 {
  private:
   U160 value_{};  // invariant: value_ < p
 };
+
+namespace detail {
+
+/// a mod p for any 320-bit a: the word-wise fold behind Fp160
+/// multiplication, declared here so tests can cross-check it.
+U160 fp160_reduce(const U320& a);
+
+}  // namespace detail
 
 }  // namespace ratt::crypto

