@@ -136,19 +136,16 @@ AttestOutcome CodeAttest::handle_request(const AttestRequest& request) {
   crypto::store_le64(head, request.challenge);
   crypto::store_le64(head + 8, request.freshness);
   mac.update(ByteView(head, 16));
-  if (scratch_.size() != kMeasureChunkBytes) {
-    scratch_.resize(kMeasureChunkBytes);
-  }
+  std::uint8_t chunk[kMeasureChunkBytes];
   for (std::size_t off = 0; off < memory_size;) {
     const std::size_t n = std::min(kMeasureChunkBytes, memory_size - off);
     if (read_block(config_.measured_memory.begin + static_cast<hw::Addr>(off),
-                   std::span<std::uint8_t>(scratch_.data(), n)) !=
-        hw::BusStatus::kOk) {
+                   std::span<std::uint8_t>(chunk, n)) != hw::BusStatus::kOk) {
       ++rejected_;
       out.status = AttestStatus::kMeasurementFault;
       return out;
     }
-    mac.update(ByteView(scratch_.data(), n));
+    mac.update(ByteView(chunk, n));
     off += n;
   }
   // Phase split of the measurement charge: mem_mac is the MAC body cost
@@ -231,15 +228,13 @@ AttestOutcome CodeAttest::handle_incremental(const IncAttestRequest& request) {
   // Re-MAC every page to refresh; store its tag into the cache and clear
   // its dirty bit (the anchor's PC is the dirty authority). Each page
   // costs one standalone MAC: setup + 9-byte header + page bytes.
-  if (scratch_.size() != kMeasureChunkBytes) {
-    scratch_.resize(kMeasureChunkBytes);
-  }
+  static_assert(kPageBytes <= kMeasureChunkBytes);
+  std::uint8_t chunk[kMeasureChunkBytes];
   for (const std::uint32_t p : changed) {
     const std::size_t off = static_cast<std::size_t>(p) * kPageBytes;
     const std::size_t len = std::min(kPageBytes, memory_size - off);
     const hw::Addr page_addr = base + static_cast<hw::Addr>(off);
-    if (read_block(page_addr,
-                   std::span<std::uint8_t>(scratch_.data(), len)) !=
+    if (read_block(page_addr, std::span<std::uint8_t>(chunk, len)) !=
         hw::BusStatus::kOk) {
       ++rejected_;
       out.status = AttestStatus::kMeasurementFault;
@@ -251,7 +246,7 @@ AttestOutcome CodeAttest::handle_incremental(const IncAttestRequest& request) {
     crypto::store_le32(head + 5, static_cast<std::uint32_t>(len));
     mac.init(9 + len);
     mac.update(ByteView(head, 9));
-    mac.update(ByteView(scratch_.data(), len));
+    mac.update(ByteView(chunk, len));
     const Bytes tag = mac.finish();
     if (write_block(config_.cache_addr + 8 +
                         static_cast<hw::Addr>(p * tag_size),

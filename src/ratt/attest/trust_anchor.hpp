@@ -138,8 +138,8 @@ class CodeAttest : public hw::SoftwareComponent {
   std::uint64_t full_fallbacks() const { return full_fallbacks_; }
 
   /// Chunk size of the streaming memory measurement: the measured range
-  /// is MAC'd through a reusable scratch buffer this large, so a 512 KB
-  /// measurement allocates nothing per request.
+  /// is MAC'd through a stack buffer this large, so a 512 KB measurement
+  /// allocates nothing and the anchor keeps no per-device buffer.
   static constexpr std::size_t kMeasureChunkBytes = 4096;
 
   /// Attestation page granularity — equal to the bus backing page and
@@ -181,7 +181,6 @@ class CodeAttest : public hw::SoftwareComponent {
   const timing::DeviceTimingModel* timing_;
   std::unique_ptr<crypto::Mac> cached_mac_;
   Bytes cached_key_;
-  Bytes scratch_;  // measurement chunk buffer, lazily sized
   double total_device_ms_ = 0.0;
   std::uint64_t performed_ = 0;
   std::uint64_t rejected_ = 0;

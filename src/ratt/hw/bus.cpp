@@ -182,14 +182,13 @@ BusStatus MemoryBus::access8(const AccessContext& ctx, AccessType type,
                        region->fill
                  : write_value == region->fill);
         if (!keeps_fill) {
-          if (region->info.kind == MemoryKind::kFlash) {
-            // NOR program: can only clear bits; setting bits needs an
-            // erase.
-            std::uint8_t& b = region->byte_for_write(offset);
-            b = static_cast<std::uint8_t>(b & write_value);
-          } else {
-            region->byte_for_write(offset) = write_value;
-          }
+          const std::size_t in_page = offset % kPageSize;
+          std::uint8_t& b = region->touch_page(p, in_page + 1)[in_page];
+          // NOR program: can only clear bits; setting bits needs an
+          // erase.
+          b = region->info.kind == MemoryKind::kFlash
+                  ? static_cast<std::uint8_t>(b & write_value)
+                  : write_value;
         }
         mark_page_dirty(*region, p);
       }
@@ -311,8 +310,8 @@ BusStatus MemoryBus::read_block(const AccessContext& ctx, Addr addr,
         out[done + i] = region->device->read(offset + static_cast<Addr>(i));
       }
     } else {
-      // Copy page by page; absent pages deliver the fill byte without
-      // being materialized (reads never allocate).
+      // Copy page by page: the stored prefix by memcpy, the rest (all
+      // of an absent page) as the fill byte. Reads never allocate.
       std::size_t i = 0;
       while (i < n) {
         const std::size_t off = static_cast<std::size_t>(offset) + i;
@@ -320,11 +319,13 @@ BusStatus MemoryBus::read_block(const AccessContext& ctx, Addr addr,
         const std::size_t chunk =
             std::min<std::size_t>(n - i, kPageSize - in_page);
         const Bytes* page = region->page_at(off / kPageSize);
-        if (page == nullptr) {
-          std::memset(out.data() + done + i, region->fill, chunk);
-        } else {
-          std::memcpy(out.data() + done + i, page->data() + in_page, chunk);
-        }
+        const std::size_t stored =
+            page == nullptr || page->size() <= in_page
+                ? 0
+                : std::min(chunk, page->size() - in_page);
+        std::uint8_t* dst = out.data() + done + i;
+        if (stored != 0) std::memcpy(dst, page->data() + in_page, stored);
+        std::memset(dst + stored, region->fill, chunk - stored);
         i += chunk;
       }
     }
@@ -392,7 +393,7 @@ BusStatus MemoryBus::write_block(const AccessContext& ctx, Addr addr,
                      region->fill;
             });
         if (!keeps_fill) {
-          std::uint8_t* dst = region->touch_page(p).data() + in_page;
+          std::uint8_t* dst = region->touch_page(p, in_page + chunk) + in_page;
           for (std::size_t j = 0; j < chunk; ++j) {
             dst[j] = static_cast<std::uint8_t>(dst[j] & src[j]);
           }
@@ -414,7 +415,8 @@ BusStatus MemoryBus::write_block(const AccessContext& ctx, Addr addr,
             std::all_of(src, src + chunk,
                         [&](std::uint8_t v) { return v == region->fill; });
         if (!keeps_fill) {
-          std::memcpy(region->touch_page(p).data() + in_page, src, chunk);
+          std::memcpy(region->touch_page(p, in_page + chunk) + in_page, src,
+                      chunk);
         }
         mark_page_dirty(*region, p);
         i += chunk;
@@ -542,7 +544,8 @@ void MemoryBus::load_initial(Addr addr, ByteView data) {
       const std::size_t in_page = off % kPageSize;
       const std::size_t chunk =
           std::min<std::size_t>(n - i, kPageSize - in_page);
-      std::memcpy(region->touch_page(off / kPageSize).data() + in_page,
+      std::memcpy(region->touch_page(off / kPageSize, in_page + chunk) +
+                      in_page,
                   data.data() + done + i, chunk);
       i += chunk;
     }

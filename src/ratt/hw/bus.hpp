@@ -200,10 +200,12 @@ class MemoryBus {
   std::uint64_t faults_dropped() const { return faults_dropped_; }
   void clear_faults();
 
-  /// Bytes of backing store actually allocated: materialized pages summed
-  /// over all storage regions. Mapped-but-untouched address space costs
-  /// only its page table, which is what lets a mostly-idle million-device
-  /// fleet map a megabyte of flash per device without buying the RAM.
+  /// Bytes of backing store actually allocated: the stored prefixes of
+  /// materialized pages, summed over all storage regions (a page keeps
+  /// only the bytes up to its highest write, in 64-byte steps).
+  /// Mapped-but-untouched address space costs only its page table, which
+  /// is what lets a mostly-idle million-device fleet map a megabyte of
+  /// flash per device without buying the RAM.
   /// Pages aliased from a shared template count at full size here; see
   /// shared_resident_bytes() for the portion a fleet report should
   /// amortize across the devices referencing the same physical copy.
@@ -258,6 +260,8 @@ class MemoryBus {
   /// flash erase block, so an erase drops exactly one page.
   static constexpr std::size_t kPageSize = 4096;
   static_assert(kPageSize == static_cast<std::size_t>(kFlashBlockSize));
+  /// Granularity of a page's high-water prefix.
+  static constexpr std::size_t kPrefixGrain = 64;
 
   struct Region {
     RegionInfo info;
@@ -267,11 +271,14 @@ class MemoryBus {
     // maps each store entry back to its page number so an erase can
     // drop a page by swapping with the last entry. Absent pages read as
     // `fill` (0xff for erased flash, 0x00 for ROM/RAM — exactly the
-    // power-up contents) and materialize on first non-fill write; the
-    // last page is clamped to the region size. A mapped-but-untouched
-    // 512 KB region therefore costs 4 bytes per page instead of a
-    // vector header — the difference between ~19 KB and ~14 KB of
-    // resident footprint per fleet device.
+    // power-up contents) and materialize on first non-fill write. A
+    // materialized page keeps only its high-water prefix: the bytes
+    // from the page start up to the highest byte ever written, rounded
+    // up to kPrefixGrain; bytes past the prefix read as `fill`. A page
+    // whose prefix reaches page_len() is a full page (the last page is
+    // clamped to the region size). So a 16-byte key costs one 64-byte
+    // prefix, and a mapped-but-untouched 512 KB region costs only its
+    // 4-byte-per-page index.
     static constexpr std::uint32_t kNoPage = 0xffffffffu;
     std::vector<std::uint32_t> page_index;  // one slot per page of space
     // Materialized pages, dense. shared_ptr so a fleet template can
@@ -303,26 +310,44 @@ class MemoryBus {
     }
     std::uint8_t read_byte(Addr offset) const {
       const Bytes* page = page_at(offset / kPageSize);
-      return page == nullptr ? fill : (*page)[offset % kPageSize];
+      const std::size_t in_page = offset % kPageSize;
+      return page != nullptr && in_page < page->size() ? (*page)[in_page]
+                                                       : fill;
     }
-    /// The page holding region offset p * kPageSize, materialized (and
-    /// filled with `fill`) if absent, for WRITING: a page aliased from
-    /// the fleet template is copy-on-write cloned here, so the caller
-    /// always gets a privately-owned page it may mutate.
-    Bytes& touch_page(std::size_t p) {
+    /// Prefix length for page `p` once it must hold [0, need) and
+    /// currently holds `have` bytes: `need` rounded up to kPrefixGrain,
+    /// at least double `have` (so a page walked upward byte by byte
+    /// reallocates O(log) times), capped at the page length.
+    std::size_t grown_len(std::size_t p, std::size_t need,
+                          std::size_t have) const {
+      const std::size_t rounded =
+          (need + kPrefixGrain - 1) / kPrefixGrain * kPrefixGrain;
+      return std::min(page_len(p), std::max(rounded, 2 * have));
+    }
+    /// Page `p`, materialized (filled with `fill`) if absent and its
+    /// prefix grown to cover [0, need), for WRITING: a page aliased from
+    /// the fleet template is copy-on-write cloned here (at full length,
+    /// as shared pages always are), so the caller always gets a
+    /// privately-owned page it may mutate. Requires need <= page_len(p).
+    std::uint8_t* touch_page(std::size_t p, std::size_t need) {
       std::uint32_t idx = page_index[p];
       if (idx == kNoPage) {
         idx = static_cast<std::uint32_t>(store.size());
-        store.push_back(std::make_shared<Bytes>(page_len(p), fill));
+        store.push_back(std::make_shared<Bytes>());  // grown below
         store_page.push_back(static_cast<std::uint32_t>(p));
         page_index[p] = idx;
       } else if (store[idx].use_count() > 1) {
         store[idx] = std::make_shared<Bytes>(*store[idx]);
       }
-      return *store[idx];
-    }
-    std::uint8_t& byte_for_write(Addr offset) {
-      return touch_page(offset / kPageSize)[offset % kPageSize];
+      Bytes& page = *store[idx];
+      if (page.size() < need) {
+        // reserve first so the allocation is exactly the new prefix,
+        // not the vector's own growth policy.
+        const std::size_t len = grown_len(p, need, page.size());
+        page.reserve(len);
+        page.resize(len, fill);
+      }
+      return page.data();
     }
     /// Release page `p`'s backing store (flash erase): the last store
     /// entry swaps into the vacated slot so the store stays dense.

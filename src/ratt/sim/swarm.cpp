@@ -432,6 +432,7 @@ SwarmReport Swarm::report(double horizon_ms) const {
   for (const auto& shard : shards_) {
     report.events_leftover += shard->queue.pending();
   }
+  report.devices.reserve(devices_.size());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     SwarmDeviceReport dr;
     dr.device = i;

@@ -159,6 +159,7 @@ class BusPair {
 
 constexpr AccessContext kAnchorPc{0x0010};  // inside [0x0000, 0x0100)
 constexpr AccessContext kAppPc{0x0200};     // outside every rule's code
+constexpr AccessContext kHwCtx{kHardwarePc};
 
 // Standard layout: rom | ram | gap | flash (two erase blocks) | mmio.
 class BulkDifferentialTest : public ::testing::Test {
@@ -445,6 +446,52 @@ TEST(BulkDifferentialFuzz, RandomLayoutsRulesAndOps) {
       if (::testing::Test::HasFailure()) break;  // don't spam
     }
     pair.expect_identical_state();
+    if (::testing::Test::HasFailure()) break;
+
+    // High-water phase: fresh regions without a full initial image, so
+    // pages hold short prefixes. Writes land at random high offsets of
+    // pages that already hold a prefix, and reads run from low in a
+    // page across the rest of it, straddling wherever the prefix ends.
+    BusPair sparse;
+    std::vector<AddrRange> sparse_ranges;
+    cursor = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+      cursor += rng.next(2) * 0x1000;
+      // Odd sizes leave a partial last page for the prefix to clamp to.
+      const Addr size = 0x1000 + rng.next(3) * 0x1000 + rng.next(0x180);
+      const AddrRange range{cursor, cursor + size};
+      const MemoryKind kind = kKinds[rng.next(3)];
+      sparse.map_storage("s" + std::to_string(i), kind, range);
+      // A short provisioned prefix (ROM's only content).
+      sparse.load_initial(range.begin + rng.next(0x100),
+                          rng.bytes(1 + rng.next(0x40)));
+      sparse_ranges.push_back(range);
+      cursor = range.end;
+    }
+    for (int op = 0; op < 200; ++op) {
+      const AddrRange& range = sparse_ranges[rng.next(3)];
+      const Addr page =
+          range.begin + rng.next((range.size() + 0xfff) / 0x1000) * 0x1000;
+      switch (rng.next(4)) {
+        case 0:  // low write: start (or extend) a prefix
+          sparse.write(kHwCtx, page + rng.next(0x80),
+                       rng.bytes(1 + rng.next(0x40)));
+          break;
+        case 1:  // high write past the current prefix, maybe off the page
+          sparse.write(kHwCtx, page + 0x80 + rng.next(0xfc0),
+                       rng.bytes(1 + rng.next(0x180)));
+          break;
+        case 2:  // read across the high-water mark
+          sparse.read(kHwCtx, page + rng.next(0x400),
+                      0x800 + rng.next(0x1000));
+          break;
+        case 3:
+          sparse.erase(kHwCtx, page + rng.next(0x1000));
+          break;
+      }
+      if (::testing::Test::HasFailure()) break;
+    }
+    sparse.expect_identical_state();
     if (::testing::Test::HasFailure()) break;
   }
 }

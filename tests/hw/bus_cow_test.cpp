@@ -85,8 +85,30 @@ TEST(BusCow, EraseDropsAliasAndRetouchMaterializesFresh) {
   ASSERT_EQ(bus.read8(kHw, 0x0800'2000, v), BusStatus::kOk);
   EXPECT_EQ(v, 0xff);
   ASSERT_EQ(bus.write8(kHw, 0x0800'2000, 0x5a), BusStatus::kOk);
+  EXPECT_EQ(bus.resident_bytes(), 64u);
+  EXPECT_EQ(bus.shared_resident_bytes(), 0u);
+}
+
+TEST(BusCow, CloneOfSharedPageStaysFullLength) {
+  // Shared template pages are full pages; the copy-on-write clone keeps
+  // the whole page, so later writes anywhere in it allocate nothing.
+  const auto page = make_page(0x3c);
+  MemoryBus bus = make_bus();
+  ASSERT_TRUE(bus.load_initial_shared(0x0800'2000, page));
+  ASSERT_EQ(bus.write8(kHw, 0x0800'2001, 0x00), BusStatus::kOk);
   EXPECT_EQ(bus.resident_bytes(), 4096u);
   EXPECT_EQ(bus.shared_resident_bytes(), 0u);
+  ASSERT_EQ(bus.write8(kHw, 0x0800'2ffe, 0x00), BusStatus::kOk);
+  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  std::vector<std::uint8_t> back(4096);
+  ASSERT_EQ(bus.read_block(kHw, 0x0800'2000, back), BusStatus::kOk);
+  std::vector<std::uint8_t> expect(page->begin(), page->end());
+  expect[1] = 0x00;
+  expect[0xffe] = 0x00;
+  EXPECT_EQ(back, expect);
+  // The template keeps its bytes.
+  EXPECT_NE((*page)[1], 0x00);
+  EXPECT_NE((*page)[0xffe], 0x00);
 }
 
 TEST(BusCow, InstallRejectsBadTargets) {
@@ -103,7 +125,7 @@ TEST(BusCow, InstallRejectsBadTargets) {
   ASSERT_EQ(bus.write8(kHw, 0x2000'0000, 0x01), BusStatus::kOk);
   EXPECT_FALSE(bus.load_initial_shared(0x2000'0000, page));
   // All refusals left accounting untouched beyond that one RAM page.
-  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  EXPECT_EQ(bus.resident_bytes(), 64u);
   EXPECT_EQ(bus.shared_resident_bytes(), 0u);
 }
 
@@ -116,7 +138,7 @@ TEST(BusCow, PageTableBytesReportedSeparatelyFromPages) {
   const std::size_t before = bus.page_table_bytes();
   ASSERT_EQ(bus.write8(kHw, 0x2000'0000, 0xab), BusStatus::kOk);
   EXPECT_GE(bus.page_table_bytes(), before);
-  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  EXPECT_EQ(bus.resident_bytes(), 64u);
 }
 
 TEST(BusCow, SharedReadPathMatchesExclusivePath) {

@@ -144,8 +144,8 @@ TEST(ShardBlock, ResidentReportAuditsLazyMaterialization) {
 }
 
 TEST(ShardBlock, SharedImageFleetStaysUnderFootprintBudget) {
-  // The ISSUE gate, scaled down: a shared-image fleet (the bench
-  // configuration) must materialize at <= 16 KB per device, with the
+  // The footprint gate, scaled down: a shared-image fleet (the bench
+  // configuration) must materialize at <= 6 KB per device, with the
   // template's boot pages counted once in shared_bytes rather than once
   // per device. 64 devices per shard fills the component chunks exactly,
   // so the slab granularity doesn't distort the per-device figure.
@@ -157,7 +157,7 @@ TEST(ShardBlock, SharedImageFleetStaysUnderFootprintBudget) {
   const Swarm::ResidentReport r = swarm.resident();
   EXPECT_EQ(r.devices, 256u);
   EXPECT_GT(r.shared_bytes, 0u);
-  EXPECT_LE(r.per_device_bytes(), 16.0 * 1024.0);
+  EXPECT_LE(r.per_device_bytes(), 6.0 * 1024.0);
 }
 
 TEST(ShardBlock, ReliableAndIncrementalAreMutuallyExclusive) {

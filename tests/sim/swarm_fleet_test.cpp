@@ -163,6 +163,26 @@ TEST(SwarmFleet, SharedAppImageKeepsKeysAndReports) {
   EXPECT_GT(shared_report.total_valid(), 0u);
 }
 
+TEST(SwarmFleet, TemplateBootedDeviceKeepsUnderOneKilobyteOfPrivatePages) {
+  // A device booted from the shared template aliases its image pages;
+  // what it writes privately is K_Attest in ROM and its freshness state
+  // in RAM. High-water bus pages keep only those prefixes, so one
+  // attestation round leaves well under 1 KB of private pages (not a
+  // 4 KB page per written byte range).
+  SwarmConfig config = fleet_config(1);
+  config.prover.measured_bytes = 64;
+  config.share_app_image = true;
+  Swarm swarm(config, crypto::from_string("fleet-seed"));
+  const SwarmReport report = swarm.run(150.0);  // round 1 fires at 100 ms
+  EXPECT_EQ(report.total_sent(), 1u);
+  EXPECT_EQ(report.total_valid(), 1u);
+  const Swarm::ResidentReport r = swarm.resident();
+  EXPECT_EQ(r.devices, 1u);
+  EXPECT_GT(r.shared_bytes, 0u);
+  EXPECT_GT(r.bus_bytes, 0u);
+  EXPECT_LT(r.bus_bytes, 1024u);
+}
+
 TEST(SwarmFleet, DrainBudgetCoversLargeCleanFleet) {
   // A clean fleet whose scheduled work exceeds the legacy fixed 1M-event
   // budget: the derived per-shard budget must drain it completely
