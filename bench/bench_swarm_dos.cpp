@@ -24,12 +24,12 @@
 //                   amplification the lossy wire extracts via verifier
 //                   retransmissions (each retry is a fresh request the
 //                   prover fully serves).
-//   --fleet         periodic-attestation throughput bench on the timing
-//                   wheel + lazy-materialization stack (no adversary):
-//                   every device attests every --period=MS over
-//                   --horizon=MS. --heap swaps in the reference binary
-//                   heap and --eager the legacy up-front schedule, so CI
-//                   can byte-compare the stdout/trace of both stacks.
+//   --fleet         periodic-attestation throughput bench on the lazy
+//                   scheduling + lazy-materialization stack (no
+//                   adversary): every device attests every --period=MS
+//                   over --horizon=MS. --eager swaps in the legacy
+//                   up-front schedule, so CI can byte-compare the
+//                   stdout/trace of both schedules.
 //                   --check-against=BENCH_fleet.json re-runs the pinned
 //                   configuration and fails on any deterministic-field
 //                   mismatch or a >60% requests/s regression.
@@ -176,13 +176,11 @@ struct FleetScaleOptions {
   std::size_t measured = 64;   // bytes measured per round
   double period_ms = 125.0;    // attestation period
   double horizon_ms = 1000.0;  // simulated horizon
-  bool heap = false;           // reference binary heap instead of the wheel
   bool eager = false;          // legacy eager schedule instead of lazy
   bool no_share = false;       // per-device boot images (no template)
   bool no_trace = false;       // registry-only observability (1M smoke)
   bool incremental = false;    // incremental paged attestation rounds
   bool no_batch = false;       // scalar verifier MACs (byte-compare ref)
-  bool no_soa = false;         // per-object heap components (byte-compare)
   std::string check_path;      // --check-against=BENCH_fleet.json
   // Perf floor as a multiple of the baseline's requests/s. The default
   // 0.4 is the anti-flake regression floor for same-generation
@@ -398,8 +396,8 @@ struct FleetResult {
 /// Gate a --fleet run against a pinned BENCH_fleet.json: deterministic
 /// fields must match exactly; requests/s may not fall below 40% of the
 /// recorded machine's rate (generous, so a loaded CI runner does not
-/// flake, while a real scheduler regression — the wheel degrading to
-/// heap-like behavior is several x — still trips it).
+/// flake, while a throughput collapse of more than 2.5x still trips
+/// it).
 int check_fleet_against(const FleetScaleOptions& opt,
                         const FleetResult& result) {
   std::ifstream in(opt.check_path, std::ios::binary);
@@ -478,11 +476,9 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   config.prover.enable_incremental = opt.incremental;
   config.shard_count =
       opt.shards != 0 ? opt.shards : std::min<std::size_t>(opt.devices, 16);
-  config.use_wheel = !opt.heap;
   config.eager_schedule = opt.eager;
   config.share_app_image = !opt.no_share;
   config.mac_batch = !opt.no_batch;
-  config.soa_blocks = !opt.no_soa;
 
   sim::Swarm swarm(config, crypto::from_string("fleet-bench-seed"));
   obs::Registry registry;
@@ -535,12 +531,10 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   }
 
   // Deterministic surface (byte-identical for the same seed at any
-  // --threads, and across --heap/--eager): wall clock goes to stderr.
+  // --threads, and across --eager): wall clock goes to stderr.
   std::printf("=== fleet periodic attestation ===\n");
   std::printf("devices:          %zu\n", opt.devices);
   std::printf("shards:           %zu\n", swarm.shard_count());
-  std::printf("scheduler:        %s%s\n", opt.heap ? "heap" : "wheel",
-              opt.eager ? " (eager)" : " (lazy)");
   std::printf("shared image:     %s\n", opt.no_share ? "no" : "yes");
   std::printf("incremental:      %s\n", opt.incremental ? "yes" : "no");
   std::printf("measured bytes:   %zu\n", opt.measured);
@@ -595,12 +589,10 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
          << "  \"devices\": " << opt.devices << ",\n"
          << "  \"shards\": " << swarm.shard_count() << ",\n"
          << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"scheduler\": \"" << (opt.heap ? "heap" : "wheel") << "\",\n"
          << "  \"eager\": " << (opt.eager ? "true" : "false") << ",\n"
          << "  \"share_image\": " << (opt.no_share ? "false" : "true")
          << ",\n"
          << "  \"mac_batch\": " << (opt.no_batch ? "false" : "true") << ",\n"
-         << "  \"soa_blocks\": " << (opt.no_soa ? "false" : "true") << ",\n"
          << "  \"resident_bytes_per_device\": " << resident.per_device_bytes()
          << ",\n"
          << "  \"measured_bytes\": " << opt.measured << ",\n"
@@ -658,10 +650,6 @@ int main(int argc, char** argv) {
       opt.incremental = true;
       continue;
     }
-    if (std::strcmp(arg, "--heap") == 0) {
-      opt.heap = true;
-      continue;
-    }
     if (std::strcmp(arg, "--eager") == 0) {
       opt.eager = true;
       continue;
@@ -676,10 +664,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--no-batch") == 0) {
       opt.no_batch = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--no-soa") == 0) {
-      opt.no_soa = true;
       continue;
     }
     if (std::strncmp(arg, "--check-against=", 16) == 0) {
@@ -715,8 +699,7 @@ int main(int argc, char** argv) {
                  "[--trace=path] [--json=path] [--slow-bus] [--incremental] "
                  "[--link=clean|lossy10|bursty|hostile] | "
                  "--fleet [--measured=N] [--period=MS] [--horizon=MS] "
-                 "[--heap] [--eager] [--no-share-image] [--no-trace] "
-                 "[--no-batch] [--no-soa] "
+                 "[--eager] [--no-share-image] [--no-trace] [--no-batch] "
                  "[--check-against=BENCH_fleet.json] [--min-speedup=X]\n",
                  argv[0]);
     return 2;

@@ -67,6 +67,13 @@ Sha1::Digest Sha1::hash(ByteView data) {
   return h.finish();
 }
 
+Sha1::Sha1(const Midstate& mid)
+    : state_(mid.h), total_len_(mid.total_len) {
+  if (mid.total_len % kBlockSize != 0) {
+    throw std::invalid_argument("Sha1: midstate is not block-aligned");
+  }
+}
+
 Sha1::Midstate Sha1::midstate() const {
   if (buffer_len_ != 0) {
     throw std::logic_error("Sha1::midstate: partial block buffered");
@@ -78,15 +85,20 @@ void Sha1::process_block(const std::uint8_t* block) {
   static const bool kUseNi = detail::sha_ni_supported();
   if (kUseNi) {
     detail::sha1_compress_ni(state_.data(), block);
-    return;
+  } else {
+    detail::sha1_compress_portable(state_.data(), block);
   }
+}
+
+void detail::sha1_compress_portable(std::uint32_t* state,
+                                    const std::uint8_t* block) {
   std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = load_be32(block + 4 * i);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4];
 
   // Four unrolled 20-round quarters with a 16-word schedule ring: the
   // per-round f/k selection branches of the naive loop cost ~15% of the
@@ -123,11 +135,11 @@ void Sha1::process_block(const std::uint8_t* block) {
     mix(b ^ c ^ d, 0xca62c1d6u, sched(i));
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
 }
 
 }  // namespace ratt::crypto

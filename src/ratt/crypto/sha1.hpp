@@ -46,6 +46,11 @@ class Sha1 {
     std::uint64_t total_len;
   };
 
+  /// Resume from an exported midstate: update()/finish() continue
+  /// exactly as the exporting object would have. Throws
+  /// std::invalid_argument if `mid.total_len` is not block-aligned.
+  explicit Sha1(const Midstate& mid);
+
   /// Export the current block-aligned state. Throws std::logic_error if
   /// a partial block is buffered.
   Midstate midstate() const;

@@ -88,8 +88,13 @@ void Sha256::process_block(const std::uint8_t* block) {
   static const bool kUseNi = detail::sha_ni_supported();
   if (kUseNi) {
     detail::sha256_compress_ni(state_.data(), block);
-    return;
+  } else {
+    detail::sha256_compress_portable(state_.data(), block);
   }
+}
+
+void detail::sha256_compress_portable(std::uint32_t* state,
+                                      const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = load_be32(block + 4 * i);
@@ -102,8 +107,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
@@ -123,14 +128,14 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
 }  // namespace ratt::crypto

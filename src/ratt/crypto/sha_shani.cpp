@@ -7,9 +7,6 @@
 // pair with the message schedule interleaved through msg1/msg2.
 #include "ratt/crypto/sha_shani.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #if defined(__SHA__) && defined(__SSE4_1__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define RATT_HAVE_SHA_NI 1
@@ -258,84 +255,10 @@ void sha1_compress_ni(std::uint32_t* state, const std::uint8_t* block) {
   state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
 }
 
-namespace {
-
-// One lane of hash_lanes_ni: stream head || tail through the NI
-// compressor with the standard merkle-damgard buffering + padding.
-// Mirrors Sha1::update/finish exactly (same padding, same length field).
-void hash_one_lane(const Sha1::Midstate* mid, const Sha1xN::LaneMsg& msg,
-                   std::uint8_t* digest) {
-  std::uint32_t h[5];
-  std::uint64_t total;
-  if (mid != nullptr) {
-    std::memcpy(h, mid->h.data(), sizeof(h));
-    total = mid->total_len;
-  } else {
-    h[0] = 0x67452301u;
-    h[1] = 0xefcdab89u;
-    h[2] = 0x98badcfeu;
-    h[3] = 0x10325476u;
-    h[4] = 0xc3d2e1f0u;
-    total = 0;
-  }
-  std::uint8_t buf[Sha1::kBlockSize];
-  std::size_t buf_len = 0;
-  const ByteView parts[2] = {msg.head, msg.tail};
-  for (const ByteView part : parts) {
-    // An empty part may carry a null data(), which memcpy must never see.
-    if (part.empty()) continue;
-    std::size_t off = 0;
-    total += part.size();
-    if (buf_len > 0) {
-      const std::size_t take =
-          std::min(Sha1::kBlockSize - buf_len, part.size());
-      std::memcpy(buf + buf_len, part.data(), take);
-      buf_len += take;
-      off += take;
-      if (buf_len == Sha1::kBlockSize) {
-        sha1_compress_ni(h, buf);
-        buf_len = 0;
-      }
-    }
-    while (off + Sha1::kBlockSize <= part.size()) {
-      sha1_compress_ni(h, part.data() + off);
-      off += Sha1::kBlockSize;
-    }
-    if (off < part.size()) {
-      std::memcpy(buf, part.data() + off, part.size() - off);
-      buf_len = part.size() - off;
-    }
-  }
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  const std::uint64_t bit_len = total * 8;
-  buf[buf_len++] = 0x80;
-  if (buf_len > Sha1::kBlockSize - 8) {
-    std::memset(buf + buf_len, 0, Sha1::kBlockSize - buf_len);
-    sha1_compress_ni(h, buf);
-    buf_len = 0;
-  }
-  std::memset(buf + buf_len, 0, Sha1::kBlockSize - 8 - buf_len);
-  store_be64(buf + Sha1::kBlockSize - 8, bit_len);
-  sha1_compress_ni(h, buf);
-  for (int i = 0; i < 5; ++i) store_be32(digest + 4 * i, h[i]);
-}
-
-}  // namespace
-
-void hash_lanes_ni(const Sha1::Midstate* mids, const Sha1xN::LaneMsg* msgs,
-                   std::size_t n,
-                   std::uint8_t (*digests)[Sha1::kDigestSize]) {
-  for (std::size_t j = 0; j < n; ++j) {
-    hash_one_lane(mids != nullptr ? &mids[j] : nullptr, msgs[j], digests[j]);
-  }
-}
-
 #else  // !RATT_HAVE_SHA_NI
 
 void sha256_compress_ni(std::uint32_t*, const std::uint8_t*) {}
 void sha1_compress_ni(std::uint32_t*, const std::uint8_t*) {}
-void hash_lanes_ni(const Sha1::Midstate*, const Sha1xN::LaneMsg*,
-                   std::size_t, std::uint8_t (*)[Sha1::kDigestSize]) {}
 
 #endif
 

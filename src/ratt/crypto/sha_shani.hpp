@@ -1,17 +1,15 @@
-// Internal dispatch seam for the x86 SHA extension (SHA-NI) kernels.
+// Internal dispatch seam for the SHA-1/SHA-256 compression functions.
 // Not part of the public API: Sha1/Sha256 route their compression
-// function here when the CPU has the instructions, and Sha1xN prefers
-// the per-lane NI path over the multi-buffer AVX2 kernel (one hardware
-// compression per lane beats eight software lanes in parallel). All
-// paths are bit-identical to the portable implementations — the CAVP
-// known-answer suite and the lockstep fuzz pin that.
+// function to the x86 SHA extension (SHA-NI) kernel when the CPU has
+// the instructions and to the portable kernel otherwise; Sha1xN's
+// per-lane NI path rides Sha1 (one hardware compression per lane beats
+// eight software lanes in parallel). Both kernels are declared here so
+// tests can run them side by side on hosts where dispatch only ever
+// picks one — the CAVP known-answer suite and the portable-vs-NI
+// differential test pin them bit-identical.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-
-#include "ratt/crypto/sha1.hpp"
-#include "ratt/crypto/sha1xn.hpp"
 
 namespace ratt::crypto::detail {
 
@@ -21,14 +19,14 @@ bool sha_ni_supported();
 /// One SHA-256 compression: state is the eight chaining words (host
 /// order), block is 64 message bytes. Call only when sha_ni_supported().
 void sha256_compress_ni(std::uint32_t* state, const std::uint8_t* block);
+/// The same compression in portable C++ (any CPU).
+void sha256_compress_portable(std::uint32_t* state,
+                              const std::uint8_t* block);
 
-/// One SHA-1 compression: state is the five chaining words.
+/// One SHA-1 compression: state is the five chaining words. Call only
+/// when sha_ni_supported().
 void sha1_compress_ni(std::uint32_t* state, const std::uint8_t* block);
-
-/// Per-lane SHA-1 over (midstate, head || tail) with NI compressions —
-/// the hardware-backed implementation of Sha1xN::hash_many.
-void hash_lanes_ni(const Sha1::Midstate* mids, const Sha1xN::LaneMsg* msgs,
-                   std::size_t n,
-                   std::uint8_t (*digests)[Sha1::kDigestSize]);
+/// The same compression in portable C++ (any CPU).
+void sha1_compress_portable(std::uint32_t* state, const std::uint8_t* block);
 
 }  // namespace ratt::crypto::detail

@@ -6,25 +6,14 @@
 // so no locking lives here — only the observability instruments the
 // queues share are thread-safe (see obs/metrics.hpp).
 //
-// Two interchangeable scheduling structures live behind the same API:
-//
-//  * A hierarchical timing wheel (default) — 4 levels x 64 slots at a
-//    1 ms tick. Insertion is O(1); popping amortizes to O(1) because a
-//    level-k slot redistributes at most once per event per level. Events
-//    landing beyond the wheel span (~2^24 ticks) go to a small overflow
-//    heap, and events inside the current tick go straight to a "current"
-//    mini-heap that preserves exact (at_ms, seq) order. This is what
-//    lets a fleet-scale Swarm keep O(devices) pending events cheap.
-//  * The legacy binary heap (set_wheel_enabled(false)) — retained as the
-//    reference implementation for differential testing.
-//
-// Execution order is identical on both structures: globally sorted by
-// (at_ms, seq), FIFO among same-time events. Same seed => byte-identical
-// traces on wheel and heap; the differential suite in
-// tests/sim/event_wheel_test.cpp enforces it.
+// The queue is a binary min-heap over (at_ms, seq): events run globally
+// sorted by time, FIFO among same-time events, so the same seed gives
+// byte-identical traces. Push and pop are O(log pending); with the
+// Swarm's lazy one-event-per-device chains, pending stays O(devices).
+// tests/sim/event_queue_test.cpp checks the order against a sorted
+// oracle on fuzzed self-scheduling workloads.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -50,23 +39,14 @@ class EventQueue {
   /// times (NaN, ±inf) are rejected with std::invalid_argument: NaN
   /// compares false against every bound, so it would slip past the
   /// past-scheduling check and then corrupt the strict weak ordering
-  /// both the heap and the wheel's mini-heaps rely on.
+  /// the heap relies on.
   void schedule_at(double at_ms, Action action);
 
   /// Schedule `action` `delay_ms` from now.
   void schedule_in(double delay_ms, Action action);
 
-  /// Switch between the timing wheel (default, true) and the reference
-  /// binary heap. Only allowed while the queue is empty — the two
-  /// structures cannot exchange pending events; throws std::logic_error
-  /// otherwise.
-  void set_wheel_enabled(bool enabled);
-  bool wheel_enabled() const { return wheel_enabled_; }
-
-  bool empty() const { return pending() == 0; }
-  std::size_t pending() const {
-    return wheel_enabled_ ? wheel_size_ : heap_.size();
-  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Pop and run the earliest event; returns false when none remain.
   /// The action is moved out of the queue (no copy, no extra allocation
@@ -101,68 +81,12 @@ class EventQueue {
     }
   };
 
-  // ---- timing wheel ----
-  static constexpr double kTickMs = 1.0;
-  static constexpr int kLevels = 4;
-  static constexpr std::uint64_t kSlotBits = 6;
-  static constexpr std::uint64_t kSlotsPerLevel = 1ull << kSlotBits;  // 64
-  // Ticks reachable from the cursor without the overflow heap: 64^4.
-  static constexpr std::uint64_t kWheelSpan = 1ull << (kSlotBits * kLevels);
-
-  struct Slot {
-    std::vector<Event> events;
-    // Smallest tick currently stored in the slot. On levels >= 1 all
-    // events in a slot share the same level coordinate (tick >> 6k), so
-    // min_tick is enough to (a) find the level's earliest slot and (b)
-    // detect whether an advance actually landed on this slot's epoch.
-    std::uint64_t min_tick = 0;
-  };
-
-  static std::uint64_t tick_of(double at_ms);
-  /// Route an event to current_/slot/overflow relative to cursor_
-  /// (does not touch wheel_size_ — shared by insert and redistribution).
-  void wheel_place(Event&& ev);
-  /// Earliest pending tick across L0..L3 and the overflow heap.
-  /// Pre: current_ empty, wheel_size_ > 0.
-  std::uint64_t wheel_next_tick() const;
-  /// Advance the cursor to `tick`: pull overflow events now within the
-  /// span, cascade outer-level slots the cursor landed on down the
-  /// hierarchy, and load the landed L0 slot into current_.
-  void wheel_advance_to(std::uint64_t tick);
-  /// Ensure current_ holds the next event (loads the next tick if
-  /// needed). Pre: wheel_size_ > 0.
-  void wheel_load_current();
-  bool wheel_pop(Event& out);
-
-  /// Earliest pending event time. Pre: !empty(). Non-const on the wheel
-  /// path (it may load a tick into current_), but observable behavior is
-  /// unchanged: now_ms_ only advances in run_next()/run_until().
-  double next_time();
-
-  void schedule_event(Event&& ev);
-
   // Binary heap over a plain vector (std::push_heap / std::pop_heap)
   // instead of std::priority_queue: priority_queue::top() is const&, so
   // popping an event forced a copy of its std::function (a heap
   // allocation per event on the hot path). pop_heap moves the earliest
-  // event to the back, where it can be moved out. Used as the reference
-  // structure when the wheel is disabled.
+  // event to the back, where it can be moved out.
   std::vector<Event> heap_;
-
-  bool wheel_enabled_ = true;
-  // Slot array, level-major: slots_[level * 64 + index].
-  std::vector<Slot> slots_ = std::vector<Slot>(kLevels * kSlotsPerLevel);
-  // Per-level occupancy bitmaps: bit i set <=> slots_[level*64+i] holds
-  // events. Finding a level's earliest slot is one rotate + countr_zero.
-  std::array<std::uint64_t, kLevels> occupied_{};
-  // Events at ticks <= cursor_ (the "now" tick), ordered by (at_ms, seq)
-  // via a mini-heap — sub-tick ordering the wheel's 1 ms buckets cannot
-  // provide on their own.
-  std::vector<Event> current_;
-  // Events beyond the wheel span (min-heap by Later, like heap_).
-  std::vector<Event> overflow_;
-  std::uint64_t cursor_ = 0;
-  std::size_t wheel_size_ = 0;
 
   double now_ms_ = 0.0;
   std::uint64_t next_seq_ = 0;

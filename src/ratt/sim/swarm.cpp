@@ -50,11 +50,10 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
   const std::size_t rem = n == 0 ? 0 : n % shard_count;
   std::size_t next_device = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(config.soa_blocks);
+    auto shard = std::make_unique<Shard>();
     shard->begin = next_device;
     next_device += base + (s < rem ? 1 : 0);
     shard->end = next_device;
-    shard->queue.set_wheel_enabled(config.use_wheel);
     shards_.push_back(std::move(shard));
   }
 
@@ -125,7 +124,10 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   if (devices_[i] != nullptr) return *devices_[i];
   const std::size_t shard_idx = shard_of(i);
   Shard& shard = *shards_[shard_idx];
-  Device& d = shard.arena.emplace_back();
+  // Build into a local record and append it only once every component
+  // exists: a throwing constructor must not leave a half-built device
+  // behind for materialized_count() and resident() to trip over.
+  Device d;
   d.index = i;
   d.shard = shard_idx;
   const std::uint8_t* seeds = seeds_.data() + i * seed_stride();
@@ -134,11 +136,11 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   const crypto::ByteView verifier_seed(seeds + 32, 16);
 
   if (template_ != nullptr) {
-    d.prover = shard.components.make_prover(config_.prover, d.key,
-                                            *template_);
+    d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
+                                                      *template_);
   } else {
-    d.prover = shard.components.make_prover(config_.prover, d.key,
-                                            app_seed);
+    d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
+                                                      app_seed);
   }
 
   attest::Verifier::Config vc;
@@ -146,9 +148,9 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   vc.mac_alg = config_.prover.mac_alg;
   vc.authenticate_requests = config_.prover.authenticate_requests;
   vc.bind_generation = config_.prover.bind_generation;
-  attest::ProverDevice* prover_ptr = d.prover;
+  attest::ProverDevice* prover_ptr = d.prover.get();
   vc.clock = [prover_ptr] { return prover_ptr->ground_truth_ticks(); };
-  d.verifier = shard.components.make_verifier(d.key, vc, verifier_seed);
+  d.verifier = std::make_unique<attest::Verifier>(d.key, vc, verifier_seed);
   if (shared_reference_ != nullptr) {
     d.verifier->set_reference_memory(shared_reference_);
   } else {
@@ -158,10 +160,10 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
     d.verifier->set_batch_engine(&shard.batch);
   }
 
-  d.channel = shard.components.make_channel(shard.queue,
-                                            config_.channel_latency_ms);
-  d.session = shard.components.make_session(shard.queue, *d.channel,
-                                            *d.prover, *d.verifier);
+  d.channel =
+      std::make_unique<Channel>(shard.queue, config_.channel_latency_ms);
+  d.session = std::make_unique<AttestationSession>(shard.queue, *d.channel,
+                                                   *d.prover, *d.verifier);
   if (net_mode_) {
     const crypto::Bytes link_seed(seeds + 48, seeds + 64);
     const crypto::ByteView jitter_seed(seeds + 64, 16);
@@ -177,13 +179,16 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
     d.session->set_incremental(true);
   }
   apply_observer(d);
-  devices_[i] = &d;
-  return d;
+  // The components live behind unique_ptrs, so moving the record into
+  // the deque leaves every cross-component pointer valid.
+  Device& stored = shard.devices.emplace_back(std::move(d));
+  devices_[i] = &stored;
+  return stored;
 }
 
 std::size_t Swarm::materialized_count() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->arena.size();
+  for (const auto& shard : shards_) n += shard->devices.size();
   return n;
 }
 
@@ -346,7 +351,7 @@ void Swarm::schedule(double horizon_ms) {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (config_.eager_schedule) {
       // Legacy reference path: every round of every device up front.
-      AttestationSession* session = materialize(i).session;
+      AttestationSession* session = materialize(i).session.get();
       EventQueue& shard_queue = shards_[shard_of(i)]->queue;
       const double offset = stagger_offset(i);
       for (std::uint64_t k = 1;; ++k) {
@@ -452,10 +457,13 @@ SwarmReport Swarm::report(double horizon_ms) const {
 
 Swarm::ResidentReport Swarm::resident() const {
   ResidentReport r;
+  constexpr std::size_t kComponentBytes =
+      sizeof(attest::ProverDevice) + sizeof(attest::Verifier) +
+      sizeof(Channel) + sizeof(AttestationSession);
   for (const auto& shard : shards_) {
-    r.devices += shard->arena.size();
-    r.arena_bytes += shard->components.arena_bytes();
-    for (const Device& d : shard->arena) {
+    r.devices += shard->devices.size();
+    r.arena_bytes += shard->devices.size() * kComponentBytes;
+    for (const Device& d : shard->devices) {
       const hw::MemoryBus& bus = d.prover->mcu().bus();
       // Pages aliased from the fleet template are physically one copy;
       // count them once below instead of once per device.

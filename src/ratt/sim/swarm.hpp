@@ -29,9 +29,10 @@
 //     per-device seed from the fleet DRBG in global device order (so
 //     keys are bit-identical to the eager layout and independent of
 //     which devices ever wake), but the ProverDevice/Verifier/Channel/
-//     Session quad is built only when a device is first touched — in a
-//     per-shard std::deque arena, so hot session state sits in
-//     shard-local blocks and a mostly-idle fleet pays ~80 B/device.
+//     Session quad is built only when a device is first touched. A cold
+//     device costs its pre-drawn seeds (48 B, 80 B with ratt::net) plus
+//     one pointer slot; a materialized one owns its components through
+//     unique_ptrs (see resident() for the accounting).
 //   * Shared templates (SwarmConfig::share_app_image): one vendor-signed
 //     boot image + one verifier reference copy for the whole fleet, with
 //     secure boot's signature check and image digest memoized
@@ -51,7 +52,6 @@
 #include "ratt/obs/power/trace.hpp"
 #include "ratt/obs/prof/profile.hpp"
 #include "ratt/sim/session.hpp"
-#include "ratt/sim/shard_block.hpp"
 
 namespace ratt::sim {
 
@@ -87,10 +87,6 @@ struct SwarmConfig {
   /// model and the channel latency (see net::derive_timeout_ms).
   bool reliable = false;
   net::RetryPolicy retry;
-  /// Timing wheel (default) vs the reference binary heap in every shard
-  /// queue — the scheduler differential-testing knob; same seed gives
-  /// byte-identical reports/traces on both.
-  bool use_wheel = true;
   /// Legacy eager scheduling: plant every round of every device up front
   /// (O(devices x rounds) pending events, materializes the whole fleet).
   /// Retained as the reference path for differential tests.
@@ -108,12 +104,6 @@ struct SwarmConfig {
   /// and traces are byte-identical with the toggle off — it is the
   /// batched-vs-scalar differential-testing knob (bench --no-batch).
   bool mac_batch = true;
-  /// Structure-of-arrays shard blocks: materialize devices into per-shard
-  /// component slabs (sim::ShardBlock) instead of one heap object per
-  /// prover/verifier. Behavior and reports are identical with the toggle
-  /// off — it is the SoA-vs-heap differential-testing knob (bench
-  /// --no-soa).
-  bool soa_blocks = true;
 };
 
 struct SwarmDeviceReport {
@@ -266,16 +256,16 @@ class Swarm {
   /// the still-pending backlog across shards (0 after a drained run).
   SwarmReport report(double horizon_ms) const;
 
-  /// Footprint accounting for the materialized fleet: component-arena
-  /// bytes (ShardBlock slabs in SoA mode, per-object heap otherwise),
-  /// every materialized prover's exclusively-owned backing-store pages
+  /// Footprint accounting for the materialized fleet: the prover,
+  /// verifier, channel and session objects (by sizeof), every
+  /// materialized prover's exclusively-owned backing-store pages
   /// plus paging metadata, and — once, not once per device — the boot
   /// image pages the fleet aliases copy-on-write from the template.
   /// Unmaterialized devices cost nothing here — exactly the laziness
   /// the report is meant to audit.
   struct ResidentReport {
     std::size_t devices = 0;       // materialized device count
-    std::size_t arena_bytes = 0;   // component storage
+    std::size_t arena_bytes = 0;   // component objects (sizeof sum)
     std::size_t bus_bytes = 0;     // exclusively-owned MCU pages
     std::size_t table_bytes = 0;   // bus paging metadata
     std::size_t shared_bytes = 0;  // template pages, counted once
@@ -296,30 +286,25 @@ class Swarm {
     std::size_t index = 0;
     std::size_t shard = 0;
     crypto::Bytes key;
-    // Raw pointers into the owning shard's DeviceArena (ShardBlock
-    // component slabs in SoA mode, one heap object each otherwise —
-    // SwarmConfig::soa_blocks). The arena owns the components and
-    // outlives every Device record; addresses are stable either way.
-    attest::ProverDevice* prover = nullptr;
-    attest::Verifier* verifier = nullptr;
-    Channel* channel = nullptr;
-    AttestationSession* session = nullptr;
+    // Declared in reference order: the channel taps the link, the
+    // verifier's clock reads the prover, and the session drives all
+    // three — destruction runs session first and link last, so no
+    // component outlives what it points at.
     std::unique_ptr<net::FaultyLink> link;
+    std::unique_ptr<attest::ProverDevice> prover;
+    std::unique_ptr<attest::Verifier> verifier;
+    std::unique_ptr<Channel> channel;
+    std::unique_ptr<AttestationSession> session;
   };
   struct Shard {
-    explicit Shard(bool soa) : components(soa) {}
     EventQueue queue;
     std::size_t begin = 0;  // device index range [begin, end)
     std::size_t end = 0;
-    // Device records (index, key, component pointers), in first-touch
-    // order. A deque allocates in chunked blocks and never moves
-    // elements, so Device addresses stay stable while the shard grows
-    // mid-drain. The components themselves live in `components`.
-    std::deque<Device> arena;
-    // Per-device component storage — declared before any per-shard sinks
-    // so sessions are destroyed (slab by slab, reverse construction
-    // order) while the queue they reference is still alive.
-    DeviceArena components;
+    // Materialized devices in first-touch order. A deque never moves
+    // its elements, so Device addresses stay stable while the shard
+    // grows mid-drain. Declared after the queue so sessions are
+    // destroyed while the queue they reference is still alive.
+    std::deque<Device> devices;
     // One multi-buffer MAC engine per shard (SwarmConfig::mac_batch):
     // every verifier in the shard pipelines its lookahead waves through
     // it. Shards never share one — drains are per-shard threads.
@@ -336,9 +321,11 @@ class Swarm {
 
   /// Shard owning device i (O(1) from the contiguous block plan).
   std::size_t shard_of(std::size_t i) const;
-  /// Build device i (prover, verifier, channel, session, link) in its
-  /// shard's arena, or return it if it already exists. During a parallel
-  /// drain this is only ever called from the owning shard's worker.
+  /// Build device i (link, prover, verifier, channel, session) into its
+  /// shard, or return it if it already exists. If a component constructor
+  /// throws, nothing is recorded and the exception propagates. During a
+  /// parallel drain this is only ever called from the owning shard's
+  /// worker.
   Device& materialize(std::size_t i);
   void apply_observer(Device& device);
   void apply_observer_to_materialized();
@@ -360,7 +347,7 @@ class Swarm {
   bool net_mode_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Materialized devices by index (nullptr = still cold). Raw pointers
-  /// into the owning shard's arena. Distinct elements are written by
+  /// into the owning shard's deque. Distinct elements are written by
   /// distinct shard workers — never the same element from two threads.
   std::vector<Device*> devices_;
   /// Every per-device DRBG draw, made eagerly at construction in global

@@ -6,6 +6,9 @@
 //     SHA1LongMsg.rsp selections) run through every lane of every
 //     width — a lane that mangles scheduling or padding fails the
 //     published digest, not just self-consistency.
+//     Each lane kernel (portable and AVX2, 4- and 8-wide) also runs on
+//     the vectors directly: on SHA-NI hosts hash_many never dispatches
+//     to them, so this is their only tier-1 coverage there.
 //  2. An 8-seed lockstep fuzz sweep: random messages with lengths
 //     straddling the 64-byte block boundary and the 55/56-byte padding
 //     split, ragged batches (every lane a different length), two-part
@@ -24,6 +27,7 @@
 #include "ratt/crypto/mac_batch.hpp"
 #include "ratt/crypto/sha1.hpp"
 #include "ratt/crypto/sha1xn.hpp"
+#include "ratt/crypto/sha1xn_detail.hpp"
 
 namespace ratt::crypto {
 namespace {
@@ -114,36 +118,79 @@ std::array<std::uint8_t, Sha1::kDigestSize> scalar_digest(ByteView msg) {
   return out;
 }
 
-TEST(Sha1xN, CavpKnownAnswersEveryLanePosition) {
-  // Each vector is placed in every lane position of every batch size
-  // 1..8, surrounded by other vectors, and must reproduce the published
-  // digest.
+using LaneKernel = void (*)(const Sha1::Midstate*, const Sha1xN::LaneMsg*,
+                            std::size_t,
+                            std::uint8_t (*)[Sha1::kDigestSize]);
+
+/// Runs `kernel` on every CAVP vector in every lane position of every
+/// batch size 1..width (fresh IV), then once more from a one-block
+/// midstate with the vector split head||tail, against the Sha1 oracle.
+void check_lane_kernel(LaneKernel kernel, std::size_t width,
+                       const char* name) {
   std::vector<Bytes> msgs;
-  std::vector<std::array<std::uint8_t, Sha1::kDigestSize>> want;
+  std::vector<std::string> want;
   for (const auto& kat : kCavp) {
     msgs.push_back(from_hex(kat.msg_hex));
-    const Bytes d = from_hex(kat.digest_hex);
-    std::array<std::uint8_t, Sha1::kDigestSize> w{};
-    std::copy(d.begin(), d.end(), w.begin());
-    want.push_back(w);
+    want.emplace_back(kat.digest_hex);
   }
   const std::size_t v = msgs.size();
-  for (std::size_t n = 1; n <= Sha1xN::kMaxLanes; ++n) {
+  for (std::size_t n = 1; n <= width; ++n) {
     for (std::size_t start = 0; start < v; ++start) {
-      ByteView views[Sha1xN::kMaxLanes];
+      Sha1xN::LaneMsg lanes[Sha1xN::kMaxLanes];
       std::uint8_t got[Sha1xN::kMaxLanes][Sha1::kDigestSize];
       for (std::size_t j = 0; j < n; ++j) {
-        views[j] = ByteView(msgs[(start + j) % v]);
+        lanes[j] = Sha1xN::LaneMsg{ByteView(msgs[(start + j) % v]), {}};
       }
-      Sha1xN::hash_many(views, n, got);
+      kernel(nullptr, lanes, n, got);
       for (std::size_t j = 0; j < n; ++j) {
         EXPECT_EQ(to_hex(ByteView(got[j], Sha1::kDigestSize)),
-                  to_hex(ByteView(want[(start + j) % v].data(),
-                                  Sha1::kDigestSize)))
-            << "n=" << n << " start=" << start << " lane=" << j;
+                  want[(start + j) % v])
+            << name << " n=" << n << " start=" << start << " lane=" << j;
       }
     }
   }
+  const Bytes prefix(Sha1::kBlockSize, 0x5c);
+  Sha1 pre;
+  pre.update(ByteView(prefix));
+  Sha1::Midstate mids[Sha1xN::kMaxLanes];
+  Sha1xN::LaneMsg lanes[Sha1xN::kMaxLanes];
+  std::uint8_t got[Sha1xN::kMaxLanes][Sha1::kDigestSize];
+  for (std::size_t j = 0; j < width; ++j) {
+    const Bytes& m = msgs[v - 1 - j];
+    const std::size_t split = m.size() / (j + 2);
+    mids[j] = pre.midstate();
+    lanes[j] = Sha1xN::LaneMsg{ByteView(m.data(), split),
+                               ByteView(m.data() + split, m.size() - split)};
+  }
+  kernel(mids, lanes, width, got);
+  for (std::size_t j = 0; j < width; ++j) {
+    Sha1 oracle;
+    oracle.update(ByteView(prefix));
+    oracle.update(ByteView(msgs[v - 1 - j]));
+    const auto d = oracle.finish();
+    EXPECT_EQ(to_hex(ByteView(got[j], Sha1::kDigestSize)),
+              to_hex(ByteView(d.data(), d.size())))
+        << name << " midstate lane=" << j;
+  }
+}
+
+TEST(Sha1xN, CavpKnownAnswersEveryLanePosition) {
+  // Through the dispatcher: whichever kernel this host selects.
+  check_lane_kernel(static_cast<LaneKernel>(&Sha1xN::hash_many),
+                    Sha1xN::kMaxLanes, "hash_many");
+}
+
+TEST(Sha1xN, PortableLaneKernelsMatchCavp) {
+  check_lane_kernel(detail::hash_lanes4_portable, 4, "portable4");
+  check_lane_kernel(detail::hash_lanes8_portable, 8, "portable8");
+}
+
+TEST(Sha1xN, Avx2LaneKernelsMatchCavp) {
+  if (!detail::sha1xn_avx2_supported()) {
+    GTEST_SKIP() << "AVX2 lane kernel not available on this CPU/build";
+  }
+  check_lane_kernel(detail::hash_lanes4_avx2, 4, "avx2_4");
+  check_lane_kernel(detail::hash_lanes8_avx2, 8, "avx2_8");
 }
 
 TEST(Sha1xN, BlockBoundaryStraddleAllLengths) {

@@ -1,12 +1,14 @@
 // Fleet-scale Swarm semantics: stagger wrap (no starved devices at any
-// fleet size), lazy self-rescheduling vs the eager reference schedule,
-// wheel vs heap at the swarm level, lazy device materialization, shared
-// app images, derived drain budgets, and drift-free long-horizon
-// segmented replay.
+// fleet size), lazy self-rescheduling vs the eager reference schedule
+// (clean and over lossy reliable rounds), lazy device materialization
+// and its resident-bytes audit, the per-device footprint gate, shared
+// app images, batched vs scalar verifier MACs, derived drain budgets,
+// and drift-free long-horizon segmented replay.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "ratt/obs/power/trace.hpp"
@@ -83,11 +85,11 @@ TEST(SwarmFleet, LazyScheduleMatchesEagerReference) {
   EXPECT_EQ(lazy_swarm.materialized_count(), 8u);
 }
 
-TEST(SwarmFleet, WheelMatchesHeapAtSwarmLevel) {
-  // Same seed, wheel vs reference heap, with a lossy link and reliable
-  // rounds so retry timers and duplicate deliveries stress the
-  // scheduling structures: reports and merged traces must be
-  // byte-identical.
+TEST(SwarmFleet, LazyMatchesEagerOverLossyReliableRounds) {
+  // Same seed, lazy chains on 4 threads vs the eager reference plant on
+  // one, with a lossy link and reliable rounds so retry timers and
+  // duplicate deliveries interleave with the round events: reports and
+  // merged traces must be byte-identical.
   SwarmConfig config = fleet_config(16);
   config.shard_count = 4;
   config.reliable = true;
@@ -96,22 +98,22 @@ TEST(SwarmFleet, WheelMatchesHeapAtSwarmLevel) {
   config.link.loss_to_verifier = 0.05;
   config.link.jitter_ms = 3.0;
   config.link.dup_probability = 0.05;
-  SwarmConfig heap_config = config;
-  heap_config.use_wheel = false;
+  SwarmConfig eager_config = config;
+  eager_config.eager_schedule = true;
 
-  Swarm wheel_swarm(config, crypto::from_string("fleet-seed"));
-  obs::Registry wheel_reg;
-  wheel_swarm.attach_sharded_observer(&wheel_reg);
-  const SwarmReport wheel_report = wheel_swarm.run_parallel(1500.0, 4);
+  Swarm lazy_swarm(config, crypto::from_string("fleet-seed"));
+  obs::Registry lazy_reg;
+  lazy_swarm.attach_sharded_observer(&lazy_reg);
+  const SwarmReport lazy_report = lazy_swarm.run_parallel(1500.0, 4);
 
-  Swarm heap_swarm(heap_config, crypto::from_string("fleet-seed"));
-  obs::Registry heap_reg;
-  heap_swarm.attach_sharded_observer(&heap_reg);
-  const SwarmReport heap_report = heap_swarm.run(1500.0);
+  Swarm eager_swarm(eager_config, crypto::from_string("fleet-seed"));
+  obs::Registry eager_reg;
+  eager_swarm.attach_sharded_observer(&eager_reg);
+  const SwarmReport eager_report = eager_swarm.run(1500.0);
 
-  EXPECT_EQ(wheel_report, heap_report);
-  EXPECT_EQ(trace_jsonl(wheel_swarm), trace_jsonl(heap_swarm));
-  EXPECT_GT(wheel_report.total_sent(), 0u);
+  EXPECT_EQ(lazy_report, eager_report);
+  EXPECT_EQ(trace_jsonl(lazy_swarm), trace_jsonl(eager_swarm));
+  EXPECT_GT(lazy_report.total_sent(), 0u);
 }
 
 TEST(SwarmFleet, LazyMaterializationOnlyBuildsScheduledDevices) {
@@ -242,6 +244,127 @@ TEST(SwarmFleet, LongHorizonSegmentedReplayMatchesStraightRun) {
   EXPECT_GT(straight_report.total_sent(), 4u * 2990u);
   EXPECT_EQ(trace_jsonl(sliced), trace_jsonl(straight));
   EXPECT_EQ(power_jsonl(sliced), power_jsonl(straight));
+}
+
+// --- Sharded fleet storage: per-device components, resident-bytes
+// audit, footprint gate and the batched-MAC toggle. (These cases keep
+// the ShardBlock suite name they were written under, so their IDs stay
+// stable in test history.) ---
+
+SwarmConfig sharded_fleet(std::size_t devices) {
+  SwarmConfig config;
+  config.device_count = devices;
+  config.shard_count = 4;
+  config.prover.scheme = FreshnessScheme::kCounter;
+  config.prover.authenticate_requests = true;
+  config.prover.measured_bytes = 256;
+  config.attest_period_ms = 100.0;
+  config.stagger_ms = 7.0;
+  return config;
+}
+
+SwarmReport run_sharded(const SwarmConfig& config, std::string* jsonl) {
+  Swarm swarm(config, crypto::from_string("shard-seed"));
+  obs::Registry registry;
+  swarm.attach_sharded_observer(&registry);
+  const SwarmReport report = swarm.run_parallel(400.0, 2);
+  *jsonl = trace_jsonl(swarm);
+  return report;
+}
+
+TEST(ShardBlock, MacBatchToggleInvisibleInReportsAndTraces) {
+  SwarmConfig batched = sharded_fleet(8);
+  batched.mac_batch = true;
+  SwarmConfig scalar = sharded_fleet(8);
+  scalar.mac_batch = false;
+  std::string batched_jsonl;
+  std::string scalar_jsonl;
+  const SwarmReport batched_report = run_sharded(batched, &batched_jsonl);
+  const SwarmReport scalar_report = run_sharded(scalar, &scalar_jsonl);
+  EXPECT_EQ(batched_report, scalar_report);
+  EXPECT_FALSE(batched_jsonl.empty());
+  EXPECT_EQ(batched_jsonl, scalar_jsonl);
+}
+
+TEST(ShardBlock, ResidentReportAuditsLazyMaterialization) {
+  Swarm swarm(sharded_fleet(16), crypto::from_string("shard-seed"));
+  // Nothing materialized: the fleet costs nothing yet.
+  const Swarm::ResidentReport empty = swarm.resident();
+  EXPECT_EQ(empty.devices, 0u);
+  EXPECT_EQ(empty.total_bytes(), 0u);
+  // Touch three devices; only they may appear in the report.
+  swarm.prover(0);
+  swarm.prover(5);
+  swarm.prover(11);
+  const Swarm::ResidentReport three = swarm.resident();
+  EXPECT_EQ(three.devices, 3u);
+  EXPECT_GT(three.arena_bytes, 0u);
+  EXPECT_GT(three.bus_bytes, 0u);
+  EXPECT_GT(three.table_bytes, 0u);
+  // Re-touching a materialized device is free.
+  swarm.prover(5);
+  const Swarm::ResidentReport retouch = swarm.resident();
+  EXPECT_EQ(retouch.devices, 3u);
+  EXPECT_EQ(retouch.total_bytes(), three.total_bytes());
+  // Materializing the rest grows the report device by device.
+  for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
+  const Swarm::ResidentReport full = swarm.resident();
+  EXPECT_EQ(full.devices, 16u);
+  EXPECT_GT(full.total_bytes(), three.total_bytes());
+  EXPECT_GT(full.per_device_bytes(), 0.0);
+}
+
+TEST(ShardBlock, SharedImageFleetStaysUnderFootprintBudget) {
+  // The footprint gate, scaled down: a shared-image fleet (the bench
+  // configuration) must materialize at <= 6 KB per device, with the
+  // template's boot pages counted once in shared_bytes rather than once
+  // per device.
+  SwarmConfig config = sharded_fleet(256);
+  config.share_app_image = true;
+  config.prover.measured_bytes = 64;
+  Swarm swarm(config, crypto::from_string("shard-seed"));
+  for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
+  const Swarm::ResidentReport r = swarm.resident();
+  EXPECT_EQ(r.devices, 256u);
+  EXPECT_GT(r.shared_bytes, 0u);
+  EXPECT_LE(r.per_device_bytes(), 6.0 * 1024.0);
+}
+
+TEST(ShardBlock, ReliableAndIncrementalAreMutuallyExclusive) {
+  // The retransmitter owns reliable round state and the incremental
+  // path owns its own — combining them silently produced wire-level
+  // divergence, so the ctor refuses.
+  SwarmConfig config = sharded_fleet(4);
+  config.reliable = true;
+  config.prover.enable_incremental = true;
+  EXPECT_THROW(Swarm(config, crypto::from_string("shard-seed")),
+               std::invalid_argument);
+  // Either flag alone is fine.
+  SwarmConfig only_reliable = sharded_fleet(4);
+  only_reliable.reliable = true;
+  EXPECT_NO_THROW(Swarm(only_reliable, crypto::from_string("shard-seed")));
+  SwarmConfig only_incremental = sharded_fleet(4);
+  only_incremental.prover.enable_incremental = true;
+  EXPECT_NO_THROW(Swarm(only_incremental, crypto::from_string("shard-seed")));
+}
+
+TEST(SwarmFleet, ThrowingComponentLeavesNoHalfBuiltDevice) {
+  // A timestamp fleet without a clock design is rejected when the first
+  // device's components are built. The exception must reach the caller
+  // and leave no record behind: the count stays 0 and resident() (which
+  // walks every recorded device) stays callable.
+  SwarmConfig config = sharded_fleet(4);
+  config.prover.scheme = FreshnessScheme::kTimestamp;
+  Swarm swarm(config, crypto::from_string("shard-seed"));
+  EXPECT_THROW(swarm.prover(0), std::invalid_argument);
+  EXPECT_FALSE(swarm.is_materialized(0));
+  EXPECT_EQ(swarm.materialized_count(), 0u);
+  const Swarm::ResidentReport r = swarm.resident();
+  EXPECT_EQ(r.devices, 0u);
+  EXPECT_EQ(r.total_bytes(), 0u);
+  // A second touch fails the same way instead of returning a husk.
+  EXPECT_THROW(swarm.prover(0), std::invalid_argument);
+  EXPECT_EQ(swarm.materialized_count(), 0u);
 }
 
 }  // namespace
