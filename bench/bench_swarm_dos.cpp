@@ -27,9 +27,7 @@
 //   --fleet         periodic-attestation throughput bench on the lazy
 //                   scheduling + lazy-materialization stack (no
 //                   adversary): every device attests every --period=MS
-//                   over --horizon=MS. --eager swaps in the legacy
-//                   up-front schedule, so CI can byte-compare the
-//                   stdout/trace of both schedules.
+//                   over --horizon=MS.
 //                   --check-against=BENCH_fleet.json re-runs the pinned
 //                   configuration and fails on any deterministic-field
 //                   mismatch or a >60% requests/s regression.
@@ -170,21 +168,18 @@ struct FleetScaleOptions {
   std::string trace_path;
   std::string link;  // faulty-link profile; enables reliable rounds
   std::string json_path;  // machine-readable summary (incl. wall-clock)
-  bool slow_bus = false;  // per-byte reference bus path (CI byte-compare)
   // --fleet mode (periodic attestation, no adversary):
   bool fleet = false;
   std::size_t measured = 64;   // bytes measured per round
   double period_ms = 125.0;    // attestation period
   double horizon_ms = 1000.0;  // simulated horizon
-  bool eager = false;          // legacy eager schedule instead of lazy
   bool no_share = false;       // per-device boot images (no template)
   bool no_trace = false;       // registry-only observability (1M smoke)
   bool incremental = false;    // incremental paged attestation rounds
-  bool no_batch = false;       // scalar verifier MACs (byte-compare ref)
   std::string check_path;      // --check-against=BENCH_fleet.json
   // Perf floor as a multiple of the baseline's requests/s. The default
   // 0.4 is the anti-flake regression floor for same-generation
-  // baselines; CI passes 2.0 against the previous generation's file to
+  // baselines; CI passes 1.5 against the previous generation's file to
   // pin the batching speedup itself.
   double min_speedup = 0.4;
 };
@@ -196,7 +191,6 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
   config.prover.authenticate_requests = true;
   config.prover.measured_bytes = 16 * 1024;
   config.attest_period_ms = 250.0;
-  config.prover.bulk_bus = !opt.slow_bus;
   config.prover.enable_incremental = opt.incremental;
   config.stagger_ms = 0.5;  // keep every device active inside the horizon
   config.shard_count =
@@ -339,7 +333,6 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
          << "  \"devices\": " << opt.devices << ",\n"
          << "  \"shards\": " << swarm.shard_count() << ",\n"
          << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"bulk_bus\": " << (opt.slow_bus ? "false" : "true") << ",\n"
          << "  \"genuine_valid\": " << report.total_valid() << ",\n"
          << "  \"genuine_sent\": " << report.total_sent() << ",\n"
          << "  \"replays_rejected\": "
@@ -476,9 +469,7 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   config.prover.enable_incremental = opt.incremental;
   config.shard_count =
       opt.shards != 0 ? opt.shards : std::min<std::size_t>(opt.devices, 16);
-  config.eager_schedule = opt.eager;
   config.share_app_image = !opt.no_share;
-  config.mac_batch = !opt.no_batch;
 
   sim::Swarm swarm(config, crypto::from_string("fleet-bench-seed"));
   obs::Registry registry;
@@ -531,7 +522,7 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   }
 
   // Deterministic surface (byte-identical for the same seed at any
-  // --threads, and across --eager): wall clock goes to stderr.
+  // --threads): wall clock goes to stderr.
   std::printf("=== fleet periodic attestation ===\n");
   std::printf("devices:          %zu\n", opt.devices);
   std::printf("shards:           %zu\n", swarm.shard_count());
@@ -589,10 +580,8 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
          << "  \"devices\": " << opt.devices << ",\n"
          << "  \"shards\": " << swarm.shard_count() << ",\n"
          << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"eager\": " << (opt.eager ? "true" : "false") << ",\n"
          << "  \"share_image\": " << (opt.no_share ? "false" : "true")
          << ",\n"
-         << "  \"mac_batch\": " << (opt.no_batch ? "false" : "true") << ",\n"
          << "  \"resident_bytes_per_device\": " << resident.per_device_bytes()
          << ",\n"
          << "  \"measured_bytes\": " << opt.measured << ",\n"
@@ -650,20 +639,12 @@ int main(int argc, char** argv) {
       opt.incremental = true;
       continue;
     }
-    if (std::strcmp(arg, "--eager") == 0) {
-      opt.eager = true;
-      continue;
-    }
     if (std::strcmp(arg, "--no-share-image") == 0) {
       opt.no_share = true;
       continue;
     }
     if (std::strcmp(arg, "--no-trace") == 0) {
       opt.no_trace = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--no-batch") == 0) {
-      opt.no_batch = true;
       continue;
     }
     if (std::strncmp(arg, "--check-against=", 16) == 0) {
@@ -682,10 +663,6 @@ int main(int argc, char** argv) {
       opt.json_path = arg + 7;
       continue;
     }
-    if (std::strcmp(arg, "--slow-bus") == 0) {
-      opt.slow_bus = true;
-      continue;
-    }
     if (std::strncmp(arg, "--link=", 7) == 0) {
       opt.link = arg + 7;
       continue;
@@ -696,10 +673,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "usage: %s [--devices=N] [--threads=N] [--shards=N] "
-                 "[--trace=path] [--json=path] [--slow-bus] [--incremental] "
+                 "[--trace=path] [--json=path] [--incremental] "
                  "[--link=clean|lossy10|bursty|hostile] | "
                  "--fleet [--measured=N] [--period=MS] [--horizon=MS] "
-                 "[--eager] [--no-share-image] [--no-trace] [--no-batch] "
+                 "[--no-share-image] [--no-trace] "
                  "[--check-against=BENCH_fleet.json] [--min-speedup=X]\n",
                  argv[0]);
     return 2;

@@ -199,14 +199,16 @@ int main(int argc, char** argv) {
   sim::RecordingTap lossy_tap;
   int seen = 0;
   lossy_tap.set_to_prover_script([&seen](const sim::TappedMessage&) {
-    return sim::ChannelTap::Disposition{(seen++ % 2) == 0, 0.0};
+    sim::ChannelTap::Disposition d;
+    d.deliver = (seen++ % 2) == 0;
+    return d;
   });
   swarm.channel(3).set_tap(&lossy_tap);
 
   sim::RecordingTap replay_tap;
   swarm.channel(5).set_tap(&replay_tap);
   swarm.session(5).send_request();
-  swarm.queue().run_all();
+  swarm.run_all();
   if (!replay_tap.recorded_to_prover().empty()) {
     for (int k = 0; k < 10; ++k) {
       swarm.channel(5).inject_to_prover(

@@ -117,7 +117,6 @@ ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
   // untrusted code runs and there is nothing to reprogram or lock.
   layout.map_mpu_port = config.mpu_flavor != MpuFlavor::kSmart;
   mcu_ = std::make_unique<hw::Mcu>(layout);
-  mcu_->bus().set_bulk_enabled(config_.bulk_bus);
 
   // --- Manufacture: provision K_Attest (ROM, or the RAM variant whose
   //     write-protection must come from an EA-MAC rule — Sec. 6.2). ---

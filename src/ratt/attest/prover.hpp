@@ -91,11 +91,6 @@ struct ProverConfig {
   bool enable_audit_log = false;
   std::size_t audit_capacity = 32;
 
-  /// Window-coalesced bulk bus transfers (docs/PERFORMANCE.md). false
-  /// selects the per-byte reference path — semantically identical, kept
-  /// for differential testing and the CI byte-compare.
-  bool bulk_bus = true;
-
   /// Incremental paged attestation (DESIGN.md §4i): maintain a per-page
   /// MAC cache and serve "changed-since generation" requests by
   /// re-MACing only dirty pages.

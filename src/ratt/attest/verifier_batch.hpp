@@ -11,9 +11,9 @@
 // its own deterministic DRBG stream in order).
 //
 // Counters (verifier.batch.fills / lanes / hits / misses) register
-// lazily on the first actual batch fill, so scalar runs (--no-batch,
-// non-HMAC algorithms, timestamp freshness) keep their registry export
-// byte-identical to the pre-batching code.
+// lazily on the first actual batch fill, so scalar runs
+// (SwarmConfig::mac_batch off, non-HMAC algorithms, timestamp freshness)
+// keep their registry export byte-identical to the pre-batching code.
 //
 // Not thread-safe; shards are single-threaded.
 #pragma once

@@ -125,8 +125,8 @@ class MemoryBus {
   /// (region, EA-MPU verdict) pair is resolved once per maximal window
   /// and storage-backed bytes move by memcpy. `false` selects the
   /// per-byte reference path — same statuses, same storage mutations,
-  /// same fault log, byte for byte — kept for differential testing and
-  /// the CI perf-smoke trace comparison.
+  /// same fault log, byte for byte — kept for differential testing (the
+  /// bus suites, bench_memory_mac and the fleet byte-compare tests).
   void set_bulk_enabled(bool enabled) { bulk_enabled_ = enabled; }
   bool bulk_enabled() const { return bulk_enabled_; }
 

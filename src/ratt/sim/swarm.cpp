@@ -192,38 +192,10 @@ std::size_t Swarm::materialized_count() const {
   return n;
 }
 
-EventQueue& Swarm::queue() {
-  if (shards_.size() > 1) {
-    throw std::logic_error(
-        "Swarm::queue(): sharded swarm has no single queue — use "
-        "queue_of(device) or run()/run_all()/run_until()");
-  }
-  return shards_[0]->queue;
-}
-
 void Swarm::apply_observer(Device& device) {
-  if (obs_mode_ == ObsMode::kNone) return;
-  obs::Observer o;
-  o.registry = attached_registry_;
-  o.device_id = device.index;
-  o.power = attached_power_;
   Shard& shard = *shards_[device.shard];
-  switch (obs_mode_) {
-    case ObsMode::kPlain:
-      o.sink = attached_sink_;
-      o.profile = attached_profile_;
-      break;
-    case ObsMode::kSharded:
-      o.sink = shard.ring.get();
-      o.profile = shard.profile.get();
-      break;
-    case ObsMode::kPower:
-      o.sink = shard.power_tee.get();
-      o.profile = shard.profile.get();
-      break;
-    case ObsMode::kNone:
-      break;
-  }
+  obs::Observer o = shard.observer;
+  o.device_id = device.index;
   device.prover->set_observer(o);
   device.verifier->set_observer(o);
   device.session->set_observer(o);
@@ -239,23 +211,16 @@ void Swarm::apply_observer_to_materialized() {
   }
 }
 
-void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink,
-                            obs::PowerModel power,
-                            obs::prof::ShardProfile* profile) {
-  for (auto& shard : shards_) shard->queue.set_observer(registry);
-  obs_mode_ = ObsMode::kPlain;
-  attached_registry_ = registry;
-  attached_sink_ = sink;
-  attached_profile_ = profile;
-  attached_power_ = power;
+void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink) {
+  for (auto& shard : shards_) {
+    shard->queue.set_observer(registry);
+    shard->observer = obs::Observer{.registry = registry, .sink = sink};
+  }
   apply_observer_to_materialized();
 }
 
 void Swarm::attach_sharded_observer(obs::Registry* registry,
-                                    std::size_t ring_capacity,
-                                    obs::PowerModel power) {
-  attached_registry_ = registry;
-  attached_power_ = power;
+                                    std::size_t ring_capacity) {
   for (auto& shard : shards_) {
     shard->ring = std::make_unique<obs::RingRecorder>(ring_capacity);
     if (registry != nullptr) {
@@ -265,8 +230,10 @@ void Swarm::attach_sharded_observer(obs::Registry* registry,
     }
     shard->profile = std::make_unique<obs::prof::ShardProfile>();
     shard->queue.set_observer(registry);
+    shard->observer = obs::Observer{.registry = registry,
+                                    .sink = shard->ring.get(),
+                                    .profile = shard->profile.get()};
   }
-  obs_mode_ = ObsMode::kSharded;
   apply_observer_to_materialized();
 }
 
@@ -289,9 +256,9 @@ obs::prof::ProfileTable Swarm::merged_profile() const {
 }
 
 void Swarm::attach_power(const obs::power::PowerTraceConfig& config) {
-  if (shards_.empty() || shards_[0]->ring == nullptr) {
+  if (shards_[0]->ring == nullptr) {
     // Power synthesis needs the shard rings and profiles in place.
-    attach_sharded_observer(attached_registry_);
+    attach_sharded_observer(shards_[0]->observer.registry);
   }
   for (auto& shard : shards_) {
     shard->power = std::make_unique<obs::power::ShardPowerRecorder>(config);
@@ -300,10 +267,9 @@ void Swarm::attach_power(const obs::power::PowerTraceConfig& config) {
     shard->power_tee =
         std::make_unique<obs::TeeSink>(*shard->ring, *shard->power);
     shard->profile->set_hook(shard->power.get());
+    // Only the sink moves; registry and profile stay as attached.
+    shard->observer.sink = shard->power_tee.get();
   }
-  // Re-point every device observer at its shard's tee; everything else
-  // (registry, power model, profile) is exactly what was attached.
-  obs_mode_ = ObsMode::kPower;
   apply_observer_to_materialized();
 }
 
@@ -348,22 +314,7 @@ void Swarm::arm_round(std::size_t i, std::uint64_t k) {
 void Swarm::schedule(double horizon_ms) {
   scheduled_horizon_ms_ = std::max(scheduled_horizon_ms_, horizon_ms);
   if (config_.attest_period_ms <= 0.0) return;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (config_.eager_schedule) {
-      // Legacy reference path: every round of every device up front.
-      AttestationSession* session = materialize(i).session.get();
-      EventQueue& shard_queue = shards_[shard_of(i)]->queue;
-      const double offset = stagger_offset(i);
-      for (std::uint64_t k = 1;; ++k) {
-        const double t =
-            offset + static_cast<double>(k) * config_.attest_period_ms;
-        if (t > horizon_ms) break;
-        shard_queue.schedule_at(t, [session] { session->send_request(); });
-      }
-    } else {
-      arm_round(i, 1);
-    }
-  }
+  for (std::size_t i = 0; i < devices_.size(); ++i) arm_round(i, 1);
 }
 
 void Swarm::run_until(double until_ms) {

@@ -23,8 +23,7 @@
 //     self-rescheduling event per device; each firing computes its round
 //     time multiplicatively as offset + k * period (drift-free) and
 //     re-arms round k+1 — pending events stay O(devices), not
-//     O(devices x horizon/period). The eager legacy path is retained
-//     behind SwarmConfig::eager_schedule for differential testing.
+//     O(devices x horizon/period).
 //   * Lazy device materialization: construction pre-draws every
 //     per-device seed from the fleet DRBG in global device order (so
 //     keys are bit-identical to the eager layout and independent of
@@ -87,10 +86,6 @@ struct SwarmConfig {
   /// model and the channel latency (see net::derive_timeout_ms).
   bool reliable = false;
   net::RetryPolicy retry;
-  /// Legacy eager scheduling: plant every round of every device up front
-  /// (O(devices x rounds) pending events, materializes the whole fleet).
-  /// Retained as the reference path for differential tests.
-  bool eager_schedule = false;
   /// Share one application image (and one verifier reference copy)
   /// across the fleet instead of deriving a per-device image from the
   /// app seed. Keys and freshness state stay per-device; the per-device
@@ -101,8 +96,7 @@ struct SwarmConfig {
   /// Multi-buffer MAC batching: every shard owns one attest::VerifierBatch
   /// and device verifiers precompute lookahead rounds through it in
   /// SHA-1xN waves (verifier.hpp set_batch_engine). Wire bytes, reports
-  /// and traces are byte-identical with the toggle off — it is the
-  /// batched-vs-scalar differential-testing knob (bench --no-batch).
+  /// and traces are byte-identical with the toggle off.
   bool mac_batch = true;
 };
 
@@ -139,10 +133,6 @@ class Swarm {
   std::size_t size() const { return devices_.size(); }
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// The fleet's queue in the legacy single-shard layout. Throws
-  /// std::logic_error on a sharded swarm — use queue_of() there, or the
-  /// run()/run_all()/run_until() drivers that cover every shard.
-  EventQueue& queue();
   /// The event queue owning device i's channel and session.
   EventQueue& queue_of(std::size_t device) {
     return shards_[shard_of(device)]->queue;
@@ -170,18 +160,19 @@ class Swarm {
   bool is_materialized(std::size_t i) const { return devices_[i] != nullptr; }
   std::size_t materialized_count() const;
 
+  // Observer plan: every shard holds the obs::Observer its devices get
+  // (registry, sink, profile). The attach_* calls below re-point the
+  // shards and re-apply the plan to every materialized device; devices
+  // materialized later get their shard's observer on creation, so the
+  // attach order relative to materialization never shows in any output.
+
   /// Attach one registry/sink pair to the whole fleet: every prover,
   /// verifier and session gets an Observer carrying its device index, and
   /// every shard queue publishes its backlog gauges. Metrics aggregate
   /// fleet-wide; traces stay per-device via device_id. The single shared
   /// sink is NOT synchronized — use attach_sharded_observer() before
-  /// run_parallel() with more than one thread. `profile` — when set —
-  /// receives every device's per-phase samples (single-threaded runs
-  /// only; it is not synchronized either). The attachment is a plan:
-  /// devices materialized later get the same observer on creation.
-  void attach_observer(obs::Registry* registry, obs::TraceSink* sink,
-                       obs::PowerModel power = obs::PowerModel{},
-                       obs::prof::ShardProfile* profile = nullptr);
+  /// run_parallel() with more than one thread.
+  void attach_observer(obs::Registry* registry, obs::TraceSink* sink);
 
   /// Sharded tracing + profiling for parallel runs: every shard records
   /// into its own private RingRecorder (`ring_capacity` records each) and
@@ -191,8 +182,7 @@ class Swarm {
   /// After a run, merged_trace() / merged_profile() return deterministic
   /// canonical merges of all shards.
   void attach_sharded_observer(obs::Registry* registry,
-                               std::size_t ring_capacity = 1 << 16,
-                               obs::PowerModel power = obs::PowerModel{});
+                               std::size_t ring_capacity = 1 << 16);
 
   /// Deterministic merge of the per-shard trace rings (empty when
   /// attach_sharded_observer was not used).
@@ -206,10 +196,11 @@ class Swarm {
   /// Power-trace synthesis on top of sharded observability: every shard
   /// gets its own obs::power::ShardPowerRecorder hooked to the shard's
   /// profile (phase stream) and tee'd off the shard's ring (round-close
-  /// stream). Calls attach_sharded_observer() itself if the swarm has no
-  /// shard rings yet (with its defaults); call it first to customize
-  /// registry/capacity/power-model. One recorder per shard — the same
-  /// no-shared-sinks contract as the rings, so run_parallel() stays
+  /// stream), and its observer re-pointed at that ring+recorder tee.
+  /// Calls attach_sharded_observer() itself (keeping the attached
+  /// registry, default capacity) if the swarm has no shard rings yet;
+  /// call it first to pick the capacity. One recorder per shard — the
+  /// same no-shared-sinks contract as the rings, so run_parallel() stays
   /// deterministic at any thread count.
   void attach_power(const obs::power::PowerTraceConfig& config =
                         obs::power::PowerTraceConfig{});
@@ -217,11 +208,6 @@ class Swarm {
   /// Canonical merge of the per-shard completed power traces, ordered by
   /// (end_ms, device_id, round_id) — empty unless attach_power() ran.
   std::vector<obs::power::RoundTrace> merged_power_traces() const;
-
-  /// Shard s's power recorder (nullptr unless attach_power).
-  const obs::power::ShardPowerRecorder* shard_power(std::size_t s) const {
-    return shards_[s]->power.get();
-  }
 
   /// Shard s's trace ring (nullptr unless attach_sharded_observer) — for
   /// flight-recorder style taps that need per-shard drop accounting.
@@ -239,10 +225,9 @@ class Swarm {
   SwarmReport run_parallel(double horizon_ms, std::size_t threads);
 
   // Stepped execution — the dashboard/analytics path. schedule() plants
-  // the same periodic rounds run() would (lazily by default — one
-  // self-rescheduling chain per device, capped at the horizon; calling
-  // schedule() again with a larger horizon extends the cap and plants a
-  // second chain, like the eager path planted a second full set),
+  // the same periodic rounds run() would (one self-rescheduling chain
+  // per device, capped at the horizon; calling schedule() again with a
+  // larger horizon extends the cap and plants a second chain),
   // run_until() advances every shard one slice at a time (so a caller
   // can read rollups, quantiles and alerts between slices), and report()
   // snapshots current state.
@@ -313,11 +298,10 @@ class Swarm {
     std::unique_ptr<obs::prof::ShardProfile> profile;  // sharded profiling
     std::unique_ptr<obs::power::ShardPowerRecorder> power;  // attach_power
     std::unique_ptr<obs::TeeSink> power_tee;  // ring + power recorder
+    // What every device of this shard observes through (device_id is
+    // filled in per device).
+    obs::Observer observer;
   };
-
-  // Which observer layout attach_* selected — replayed onto every device
-  // materialized afterwards.
-  enum class ObsMode : std::uint8_t { kNone, kPlain, kSharded, kPower };
 
   /// Shard owning device i (O(1) from the contiguous block plan).
   std::size_t shard_of(std::size_t i) const;
@@ -361,12 +345,6 @@ class Swarm {
   /// Largest horizon schedule() has seen — caps the lazy chains and
   /// sizes the drain budget.
   double scheduled_horizon_ms_ = 0.0;
-  // The observer plan (attach_* records it; materialize replays it).
-  ObsMode obs_mode_ = ObsMode::kNone;
-  obs::Registry* attached_registry_ = nullptr;
-  obs::TraceSink* attached_sink_ = nullptr;  // kPlain
-  obs::prof::ShardProfile* attached_profile_ = nullptr;  // kPlain
-  obs::PowerModel attached_power_{};
 };
 
 }  // namespace ratt::sim

@@ -328,15 +328,16 @@ TEST(SwarmPower, AttachPowerBootstrapsShardedObservability) {
   // attach_power on a bare swarm sets up its own shard rings/profiles.
   sim::Swarm swarm(fleet_config(4), crypto::from_string("power-trace-seed"));
   swarm.attach_power();
-  (void)swarm.run_parallel(/*horizon_ms=*/600.0, 2);
+  const sim::SwarmReport report = swarm.run_parallel(/*horizon_ms=*/600.0, 2);
+  for (std::size_t s = 0; s < swarm.shard_count(); ++s) {
+    ASSERT_NE(swarm.shard_ring(s), nullptr);
+  }
+  EXPECT_FALSE(swarm.merged_trace().empty());
+  EXPECT_FALSE(swarm.merged_profile().devices().empty());
   const auto merged = swarm.merged_power_traces();
   ASSERT_FALSE(merged.empty());
-  std::uint64_t completed = 0;
-  for (std::size_t s = 0; s < swarm.shard_count(); ++s) {
-    ASSERT_NE(swarm.shard_power(s), nullptr);
-    completed += swarm.shard_power(s)->rounds_completed();
-  }
-  EXPECT_EQ(completed, merged.size());
+  // Every round the fleet ran closed into exactly one merged waveform.
+  EXPECT_EQ(merged.size(), report.total_sent());
 }
 
 TEST(SwarmPower, AttachedPowerDoesNotChangeFleetBehavior) {

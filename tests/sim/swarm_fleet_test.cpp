@@ -1,8 +1,9 @@
 // Fleet-scale Swarm semantics: stagger wrap (no starved devices at any
-// fleet size), lazy self-rescheduling vs the eager reference schedule
-// (clean and over lossy reliable rounds), lazy device materialization
-// and its resident-bytes audit, the per-device footprint gate, shared
-// app images, batched vs scalar verifier MACs, derived drain budgets,
+// fleet size), lazy self-rescheduling vs the test-planted eager
+// reference schedule (clean and over lossy reliable rounds), lazy device
+// materialization and its resident-bytes audit, the per-device footprint
+// gate, shared app images, batched vs scalar verifier MACs, derived
+// drain budgets, the observer plan's replay onto materialized devices,
 // and drift-free long-horizon segmented replay.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fleet_oracles.hpp"
 #include "ratt/obs/power/trace.hpp"
 #include "ratt/obs/trace.hpp"
 #include "ratt/sim/swarm.hpp"
@@ -59,24 +61,23 @@ TEST(SwarmFleet, StaggerWrapKeepsEveryDeviceOnSchedule) {
 }
 
 TEST(SwarmFleet, LazyScheduleMatchesEagerReference) {
-  // The lazy one-event-per-device chain and the legacy eager plant must
-  // produce the same fleet behavior: identical reports and identical
+  // The lazy one-event-per-device chain and the eager reference plant
+  // must produce the same fleet behavior: identical reports and identical
   // merged traces (the re-arm event IS the send event, so even event
   // counts per round agree).
   SwarmConfig config = fleet_config(8);
   config.shard_count = 2;
-  SwarmConfig eager = config;
-  eager.eager_schedule = true;
 
   Swarm lazy_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry lazy_reg;
   lazy_swarm.attach_sharded_observer(&lazy_reg);
   const SwarmReport lazy_report = lazy_swarm.run(1000.0);
 
-  Swarm eager_swarm(eager, crypto::from_string("fleet-seed"));
+  Swarm eager_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry eager_reg;
   eager_swarm.attach_sharded_observer(&eager_reg);
-  const SwarmReport eager_report = eager_swarm.run(1000.0);
+  const SwarmReport eager_report =
+      oracle::run_eager(eager_swarm, config, 1000.0);
 
   EXPECT_EQ(lazy_report, eager_report);
   EXPECT_EQ(trace_jsonl(lazy_swarm), trace_jsonl(eager_swarm));
@@ -98,18 +99,17 @@ TEST(SwarmFleet, LazyMatchesEagerOverLossyReliableRounds) {
   config.link.loss_to_verifier = 0.05;
   config.link.jitter_ms = 3.0;
   config.link.dup_probability = 0.05;
-  SwarmConfig eager_config = config;
-  eager_config.eager_schedule = true;
 
   Swarm lazy_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry lazy_reg;
   lazy_swarm.attach_sharded_observer(&lazy_reg);
   const SwarmReport lazy_report = lazy_swarm.run_parallel(1500.0, 4);
 
-  Swarm eager_swarm(eager_config, crypto::from_string("fleet-seed"));
+  Swarm eager_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry eager_reg;
   eager_swarm.attach_sharded_observer(&eager_reg);
-  const SwarmReport eager_report = eager_swarm.run(1500.0);
+  const SwarmReport eager_report =
+      oracle::run_eager(eager_swarm, config, 1500.0);
 
   EXPECT_EQ(lazy_report, eager_report);
   EXPECT_EQ(trace_jsonl(lazy_swarm), trace_jsonl(eager_swarm));
@@ -244,6 +244,91 @@ TEST(SwarmFleet, LongHorizonSegmentedReplayMatchesStraightRun) {
   EXPECT_GT(straight_report.total_sent(), 4u * 2990u);
   EXPECT_EQ(trace_jsonl(sliced), trace_jsonl(straight));
   EXPECT_EQ(power_jsonl(sliced), power_jsonl(straight));
+}
+
+// --- Observer plan replay: attaching before any device exists and
+// attaching after every device is materialized must be indistinguishable
+// in every export. ---
+
+struct ObservedRun {
+  SwarmReport report;
+  std::string trace;
+  std::string profile;
+  std::string power;
+  std::string metrics;
+};
+
+SwarmConfig replay_fleet() {
+  SwarmConfig config = fleet_config(12);
+  config.shard_count = 4;
+  config.prover.authenticate_requests = true;
+  config.stagger_ms = 11.0;
+  return config;
+}
+
+ObservedRun run_sharded_power(bool materialize_first) {
+  Swarm swarm(replay_fleet(), crypto::from_string("fleet-seed"));
+  if (materialize_first) {
+    for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
+    EXPECT_EQ(swarm.materialized_count(), swarm.size());
+  } else {
+    EXPECT_EQ(swarm.materialized_count(), 0u);
+  }
+  obs::Registry registry;
+  swarm.attach_sharded_observer(&registry);
+  swarm.attach_power();
+  ObservedRun run;
+  run.report = swarm.run_parallel(700.0, 2);
+  run.trace = trace_jsonl(swarm);
+  std::ostringstream profile;
+  swarm.merged_profile().write_jsonl(profile);
+  run.profile = profile.str();
+  run.power = power_jsonl(swarm);
+  run.metrics = registry.to_text();
+  return run;
+}
+
+TEST(SwarmFleet, ShardedPowerPlanReplaysOntoMaterializedDevices) {
+  const ObservedRun cold = run_sharded_power(false);
+  const ObservedRun warm = run_sharded_power(true);
+  EXPECT_GT(cold.report.total_sent(), 0u);
+  EXPECT_EQ(cold.report.total_valid(), cold.report.total_sent());
+  EXPECT_FALSE(cold.trace.empty());
+  EXPECT_FALSE(cold.profile.empty());
+  EXPECT_FALSE(cold.power.empty());
+  EXPECT_EQ(warm.report, cold.report);
+  EXPECT_EQ(warm.trace, cold.trace);
+  EXPECT_EQ(warm.profile, cold.profile);
+  EXPECT_EQ(warm.power, cold.power);
+  EXPECT_EQ(warm.metrics, cold.metrics);
+}
+
+ObservedRun run_shared_sink(bool materialize_first) {
+  Swarm swarm(replay_fleet(), crypto::from_string("fleet-seed"));
+  if (materialize_first) {
+    for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
+  }
+  obs::Registry registry;
+  obs::RingRecorder ring(1 << 14);
+  swarm.attach_observer(&registry, &ring);
+  ObservedRun run;
+  run.report = swarm.run(700.0);
+  EXPECT_EQ(ring.dropped(), 0u);
+  std::ostringstream trace;
+  obs::write_jsonl(trace, ring.snapshot());
+  run.trace = trace.str();
+  run.metrics = registry.to_text();
+  return run;
+}
+
+TEST(SwarmFleet, SharedSinkPlanReplaysOntoMaterializedDevices) {
+  const ObservedRun cold = run_shared_sink(false);
+  const ObservedRun warm = run_shared_sink(true);
+  EXPECT_GT(cold.report.total_sent(), 0u);
+  EXPECT_FALSE(cold.trace.empty());
+  EXPECT_EQ(warm.report, cold.report);
+  EXPECT_EQ(warm.trace, cold.trace);
+  EXPECT_EQ(warm.metrics, cold.metrics);
 }
 
 // --- Sharded fleet storage: per-device components, resident-bytes

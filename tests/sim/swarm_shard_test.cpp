@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 
 #include "ratt/sim/fleet_health.hpp"
 #include "ratt/sim/swarm.hpp"
@@ -43,13 +42,6 @@ TEST(SwarmShard, ShardCountClampedToDevices) {
   EXPECT_EQ(swarm.shard_count(), 3u);
   Swarm zero(fleet(3, 0), crypto::from_string("shard-seed"));
   EXPECT_EQ(zero.shard_count(), 1u);
-}
-
-TEST(SwarmShard, LegacyQueueAccessorThrowsWhenSharded) {
-  Swarm single(fleet(4, 1), crypto::from_string("shard-seed"));
-  EXPECT_NO_THROW(single.queue());
-  Swarm sharded(fleet(4, 2), crypto::from_string("shard-seed"));
-  EXPECT_THROW(sharded.queue(), std::logic_error);
 }
 
 TEST(SwarmShard, KeysIndependentOfShardPlan) {

@@ -60,13 +60,13 @@ TEST(Swarm, CrossDeviceReplayFailsAuthentication) {
   RecordingTap tap;
   swarm.channel(0).set_tap(&tap);
   swarm.session(0).send_request();
-  swarm.queue().run_all();
+  swarm.run_all();
   ASSERT_EQ(tap.recorded_to_prover().size(), 1u);
 
   const auto before = swarm.prover(1).anchor().attestations_performed();
   swarm.channel(1).inject_to_prover(tap.recorded_to_prover()[0].payload,
                                     1.0);
-  swarm.queue().run_all();
+  swarm.run_all();
   EXPECT_EQ(swarm.prover(1).anchor().attestations_performed(), before);
   EXPECT_EQ(swarm.session(1).stats().prover_rejects, 1u);
 }
@@ -78,7 +78,7 @@ TEST(Swarm, FloodOnOneDeviceDoesNotAffectOthers) {
   RecordingTap tap;
   swarm.channel(2).set_tap(&tap);
   swarm.session(2).send_request();
-  swarm.queue().run_all();
+  swarm.run_all();
   ASSERT_FALSE(tap.recorded_to_prover().empty());
   const crypto::Bytes recorded = tap.recorded_to_prover()[0].payload;
   for (int i = 0; i < 50; ++i) {
