@@ -88,8 +88,9 @@ bool read_baseline(const std::string& text, const char* phase,
                    PhaseRow* out) {
   const std::size_t section = text.find("\"bench_profile\"");
   if (section == std::string::npos) return false;
-  const std::size_t at =
-      text.find("\"" + std::string(phase) + "\"", section);
+  std::string key = "\"";
+  key.append(phase).append("\"");
+  const std::size_t at = text.find(key, section);
   if (at == std::string::npos) return false;
   const std::size_t cycles = text.find("\"cycles\":", at);
   const std::size_t energy = text.find("\"energy_mj\":", at);

@@ -138,7 +138,7 @@ int run_incremental(double check_against) {
       const std::size_t bytes = pages * CodeAttest::kPageBytes;
       const IncCost cost = measure_incremental(alg, bytes);
       const double speedup = cost.full_ms / cost.delta1_ms;
-      char size[16];
+      char size[24];  // 20 digits of size_t + " KB"
       std::snprintf(size, sizeof(size), "%zu KB", bytes / 1024);
       std::printf("  %-22s %-10s %-12.3f %-12.3f %-12.3f %-10.1f\n",
                   crypto::to_string(alg).c_str(), size, cost.full_ms,

@@ -593,9 +593,9 @@ void ProverDevice::profile_request(const AttestOutcome& outcome,
   obs_.profile->record(sample);
 }
 
-AttestOutcome ProverDevice::handle(const AttestRequest& request,
-                                   const obs::RoundContext& round) {
-  const AttestOutcome out = anchor_->handle_request(request);
+template <typename Request>
+AttestOutcome ProverDevice::conclude(AttestOutcome out, const Request& request,
+                                     const obs::RoundContext& round) {
   if (audit_log_ != nullptr) {
     (void)audit_log_->append(out, request.freshness);
   }
@@ -605,14 +605,15 @@ AttestOutcome ProverDevice::handle(const AttestRequest& request,
   return out;
 }
 
+AttestOutcome ProverDevice::handle(const AttestRequest& request,
+                                   const obs::RoundContext& round) {
+  return conclude(anchor_->handle_request(request), request, round);
+}
+
 AttestOutcome ProverDevice::handle_incremental(
     const IncAttestRequest& request, const obs::RoundContext& round) {
-  const AttestOutcome out = anchor_->handle_incremental(request);
-  if (audit_log_ != nullptr) {
-    (void)audit_log_->append(out, request.freshness);
-  }
-  mcu_->advance_ms(out.device_ms);
-  if (obs_.enabled()) observe_request(request.wire_size(), out, round);
+  const AttestOutcome out =
+      conclude(anchor_->handle_incremental(request), request, round);
   if (obs_.registry != nullptr) {
     if (obs_inc_requests_ == nullptr) {
       obs::Registry& reg = *obs_.registry;

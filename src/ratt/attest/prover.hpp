@@ -234,6 +234,11 @@ class ProverDevice {
                const ProverTemplate* tmpl);
 
   bool configure_protection(hw::Mcu& mcu);
+  /// Shared tail of handle() and handle_incremental(): audit the
+  /// decision, advance device time by the work done, emit telemetry.
+  template <typename Request>
+  AttestOutcome conclude(AttestOutcome out, const Request& request,
+                         const obs::RoundContext& round);
   void observe_request(std::size_t wire_bytes, const AttestOutcome& outcome,
                        const obs::RoundContext& round);
   void profile_request(const AttestOutcome& outcome,

@@ -70,23 +70,18 @@ std::uint64_t Verifier::next_word() {
   return word;
 }
 
-void Verifier::fill_freshness(std::uint64_t& freshness,
-                              std::uint64_t& challenge) {
+std::uint64_t Verifier::draw_freshness(std::uint64_t& counter) {
   switch (config_.scheme) {
     case FreshnessScheme::kNone:
-      freshness = 0;
-      break;
+      return 0;
     case FreshnessScheme::kNonce:
-      freshness = next_word();
-      break;
+      return next_word();
     case FreshnessScheme::kCounter:
-      freshness = ++counter_;
-      break;
+      return ++counter;
     case FreshnessScheme::kTimestamp:
-      freshness = config_.clock();
-      break;
+      return config_.clock();
   }
-  challenge = next_word();
+  return 0;
 }
 
 bool Verifier::batchable() const {
@@ -103,26 +98,14 @@ void Verifier::fill_pipeline() {
       static_cast<std::size_t>(VerifierBatch::kLanes) - issued_count_;
   if (lanes == 0) return;
   // Draw each future round's freshness/challenge exactly as the scalar
-  // fill_freshness would, in order; counter_ itself advances only when
-  // an entry is actually popped, so counter() never runs ahead.
+  // path would, in order; counter_ itself advances only when an entry is
+  // actually popped, so counter() never runs ahead. (batchable()
+  // excludes timestamps, so no draw here reads the clock.)
   PipeEntry* fresh[VerifierBatch::kLanes];
   std::uint64_t ctr = counter_;
   for (std::size_t k = 0; k < lanes; ++k) {
     PipeEntry& e = pend_[(pend_head_ + pend_count_) & 7];
-    switch (config_.scheme) {
-      case FreshnessScheme::kNone:
-        e.freshness = 0;
-        break;
-      case FreshnessScheme::kNonce:
-        e.freshness = next_word();
-        break;
-      case FreshnessScheme::kCounter:
-        e.freshness = ++ctr;
-        break;
-      case FreshnessScheme::kTimestamp:
-        e.freshness = 0;  // unreachable: batchable() excludes timestamps
-        break;
-    }
+    e.freshness = draw_freshness(ctr);
     e.challenge = next_word();
     e.ref_src = nullptr;
     fresh[k] = &e;
@@ -173,6 +156,14 @@ void Verifier::fill_pipeline() {
   batch_->note_fill(lanes);
 }
 
+const Verifier::PipeEntry& Verifier::pop_pipeline() {
+  const PipeEntry& e = pend_[pend_head_];
+  pend_head_ = (pend_head_ + 1) & 7;
+  --pend_count_;
+  if (config_.scheme == FreshnessScheme::kCounter) ++counter_;
+  return e;
+}
+
 AttestRequest Verifier::make_request() {
   if (obs_requests_ != nullptr) obs_requests_->inc();
   AttestRequest req;
@@ -181,10 +172,7 @@ AttestRequest Verifier::make_request() {
   if (batchable()) {
     if (pend_count_ == 0) fill_pipeline();
     if (pend_count_ > 0) {
-      const PipeEntry& e = pend_[pend_head_];
-      pend_head_ = (pend_head_ + 1) & 7;
-      --pend_count_;
-      if (config_.scheme == FreshnessScheme::kCounter) ++counter_;
+      const PipeEntry& e = pop_pipeline();
       req.freshness = e.freshness;
       req.challenge = e.challenge;
       if (config_.authenticate_requests) {
@@ -194,7 +182,8 @@ AttestRequest Verifier::make_request() {
       return req;
     }
   }
-  fill_freshness(req.freshness, req.challenge);
+  req.freshness = draw_freshness(counter_);
+  req.challenge = next_word();
   if (config_.authenticate_requests) {
     req.mac = mac_->compute(req.header_bytes());
   }
@@ -211,14 +200,12 @@ IncAttestRequest Verifier::make_incremental_request() {
     // Consume the oldest precomputed draw so the freshness/challenge
     // stream stays in scalar order; the 28-byte incremental header MACs
     // scalar (its since_gen is not known at fill time).
-    const PipeEntry& e = pend_[pend_head_];
-    pend_head_ = (pend_head_ + 1) & 7;
-    --pend_count_;
-    if (config_.scheme == FreshnessScheme::kCounter) ++counter_;
+    const PipeEntry& e = pop_pipeline();
     req.freshness = e.freshness;
     req.challenge = e.challenge;
   } else {
-    fill_freshness(req.freshness, req.challenge);
+    req.freshness = draw_freshness(counter_);
+    req.challenge = next_word();
   }
   if (config_.authenticate_requests) {
     req.mac = mac_->compute(req.header_bytes());
@@ -226,12 +213,13 @@ IncAttestRequest Verifier::make_incremental_request() {
   return req;
 }
 
+bool Verifier::tally(bool ok) const {
+  if (obs_valid_ != nullptr) (ok ? obs_valid_ : obs_invalid_)->inc();
+  return ok;
+}
+
 bool Verifier::check_response(const AttestRequest& request,
                               const AttestResponse& response) const {
-  const auto tally = [this](bool ok) {
-    if (obs_valid_ != nullptr) (ok ? obs_valid_ : obs_invalid_)->inc();
-    return ok;
-  };
   if (response.freshness != request.freshness) return tally(false);
   if (batch_ != nullptr) {
     for (std::uint8_t i = 0; i < issued_count_; ++i) {
@@ -293,10 +281,6 @@ void Verifier::ensure_page_macs() {
 
 bool Verifier::check_incremental(const IncAttestRequest& request,
                                  const IncAttestResponse& response) {
-  const auto tally = [this](bool ok) {
-    if (obs_valid_ != nullptr) (ok ? obs_valid_ : obs_invalid_)->inc();
-    return ok;
-  };
   // Any invalid incremental response destroys trust in the retained
   // state: reset it so the next request demands a full fallback. The
   // naive (unbound) verifier keeps trusting — that is exactly the gap

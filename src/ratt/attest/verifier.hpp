@@ -117,8 +117,12 @@ class Verifier {
   /// dominant crypto cost of a fleet round after the MACs themselves.
   std::uint64_t next_word();
 
-  /// Freshness/challenge prefix shared by both request builders.
-  void fill_freshness(std::uint64_t& freshness, std::uint64_t& challenge);
+  /// The scheme's next freshness element; a counter scheme advances
+  /// `counter` (counter_, or fill_pipeline()'s lookahead copy).
+  std::uint64_t draw_freshness(std::uint64_t& counter);
+
+  /// Count a check's verdict in verifier.checks.* and return it.
+  bool tally(bool ok) const;
 
   /// (Re)build page_macs_ over the current reference memory.
   void ensure_page_macs();
@@ -142,6 +146,10 @@ class Verifier {
 
   /// Precompute up to kLanes future rounds in one multi-buffer wave.
   void fill_pipeline();
+
+  /// Issue the oldest precomputed round (pend_count_ > 0), keeping the
+  /// freshness/challenge stream in scalar order for both builders.
+  const PipeEntry& pop_pipeline();
 
   Bytes key_;
   Config config_;

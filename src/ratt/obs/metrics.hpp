@@ -17,11 +17,14 @@
 // touches the device. It stays a cold path: callers cache the returned
 // reference and never take the lock again. The instruments themselves
 // ARE thread-safe: inc()/set()/observe() use relaxed atomics, so shards
-// sharing one Registry never race. All
-// aggregate readouts (counter sums, gauge high-water marks, histogram
-// bucket counts) are order-independent, so they are deterministic for a
-// given workload at any thread count; only the last-write value() of a
-// concurrently-set gauge depends on scheduling.
+// sharing one Registry never race and never lose an update. Counts,
+// histogram buckets, min and max (and gauge high-waters) are exact at
+// any thread count. The double sums (counter value(), histogram sum())
+// are exact only to rounding when more than one thread writes: float
+// addition is not associative, so their last bits follow the order the
+// workers' additions land in — byte-compares of to_text() run at one
+// thread. A gauge set from several threads keeps whichever write landed
+// last.
 //
 // Naming convention (docs/OBSERVABILITY.md): dot-separated lowercase
 // "<layer>.<subject>[.<detail>]", e.g. "prover.outcome.not-fresh",
@@ -62,8 +65,9 @@ inline void atomic_min(std::atomic<double>& target, double v) {
 
 /// Monotonically accumulating value. `value()` is the sum of all inc()
 /// arguments (so fractional quantities — milliseconds, millijoules —
-/// accumulate exactly as given); `count()` is the number of inc() calls.
-/// Thread-safe: concurrent inc() from shard workers never lose updates.
+/// accumulate as given); `count()` is the number of inc() calls.
+/// Thread-safe: concurrent inc() from shard workers never lose updates,
+/// though a fractional value() is then exact only to rounding.
 class Counter {
  public:
   void inc(double v = 1.0) {
@@ -114,9 +118,9 @@ class Gauge {
 /// Fixed-bucket histogram. Bucket i counts observations <= bounds[i]
 /// (first matching bound); observations above the last bound land in the
 /// overflow bucket, so buckets().size() == bounds().size() + 1.
-/// observe() is thread-safe; bucket counts, count and sum are exact under
-/// concurrency (sum's floating-point rounding can vary with interleaving
-/// in the last bits — bucket counts and min/max cannot).
+/// observe() is thread-safe; bucket counts, count, min and max are exact
+/// under concurrency, while sum is exact only to rounding when several
+/// threads observe (its last bits follow the interleaving).
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds)

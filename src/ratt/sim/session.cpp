@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ratt/obs/prof/profile.hpp"
 
@@ -14,10 +15,20 @@ AttestationSession::AttestationSession(EventQueue& queue, Channel& channel,
       channel_(&channel),
       prover_(&prover),
       verifier_(&verifier) {
-  channel_->set_prover_sink(
-      [this](const crypto::Bytes& wire) { on_prover_receives(wire); });
-  channel_->set_verifier_sink(
-      [this](const crypto::Bytes& wire) { on_verifier_receives(wire); });
+  channel_->set_prover_sink([this](const crypto::Bytes& wire) {
+    if (attest::is_inc_request_frame(wire)) {
+      deliver<attest::IncAttestRequest>(wire);
+    } else {
+      deliver<attest::AttestRequest>(wire);
+    }
+  });
+  channel_->set_verifier_sink([this](const crypto::Bytes& wire) {
+    if (attest::is_inc_response_frame(wire)) {
+      settle<attest::IncAttestResponse>(wire);
+    } else {
+      settle<attest::AttestResponse>(wire);
+    }
+  });
 }
 
 void AttestationSession::set_observer(const obs::Observer& observer) {
@@ -60,37 +71,35 @@ void AttestationSession::observe_round(const char* outcome,
                                        std::size_t wire_bytes,
                                        std::uint64_t round_id,
                                        std::uint32_t attempt) {
-  if (obs_.sink != nullptr) {
-    obs::TraceRecord rec;
-    rec.sim_time_ms = queue_->now_ms();
-    rec.device_id = obs_.device_id;
-    rec.kind = "verifier.round";
-    rec.outcome = outcome;
-    rec.verifier_ms = verifier_ms;
-    rec.bytes = wire_bytes;
-    rec.round_id = round_id;
-    rec.attempt = attempt;
-    obs_.sink->record(rec);
-  }
+  observe_span("verifier.round", outcome, wire_bytes, round_id, attempt,
+               verifier_ms);
   if (obs_round_trip_ != nullptr && round_trip_ms >= 0.0) {
     obs_round_trip_->observe(round_trip_ms);
   }
 }
 
-void AttestationSession::observe_net(const char* kind, const char* outcome,
-                                     std::size_t wire_bytes,
-                                     std::uint64_t round_id,
-                                     std::uint32_t attempt) {
+void AttestationSession::observe_span(const char* kind, const char* outcome,
+                                      std::size_t wire_bytes,
+                                      std::uint64_t round_id,
+                                      std::uint32_t attempt,
+                                      double verifier_ms) {
   if (obs_.sink == nullptr) return;
   obs::TraceRecord rec;
   rec.sim_time_ms = queue_->now_ms();
   rec.device_id = obs_.device_id;
   rec.kind = kind;
   rec.outcome = outcome;
+  rec.verifier_ms = verifier_ms;
   rec.bytes = wire_bytes;
   rec.round_id = round_id;
   rec.attempt = attempt;
   obs_.sink->record(rec);
+}
+
+void AttestationSession::publish_pending() {
+  if (obs_pending_ != nullptr) {
+    obs_pending_->set(static_cast<double>(pending_.size()));
+  }
 }
 
 std::uint64_t AttestationSession::reliable_round_id(
@@ -184,10 +193,21 @@ void AttestationSession::enable_reliable(const net::RetryPolicy& policy,
       [this](std::uint64_t round, std::uint32_t attempt) {
         ++stats_.timeouts;
         if (obs_timeouts_ != nullptr) obs_timeouts_->inc();
-        observe_net("net.timeout", "expired", 0, reliable_round_id(round),
-                    attempt);
+        observe_span("net.timeout", "expired", 0, reliable_round_id(round),
+                     attempt);
       });
   cache_net_instruments();
+}
+
+template <typename Request>
+void AttestationSession::dispatch(const Request& request, std::uint64_t round,
+                                  std::uint64_t round_id,
+                                  std::uint32_t attempt) {
+  pending_.push_back(
+      Pending{request, queue_->now_ms(), round, round_id, attempt});
+  ++stats_.requests_sent;
+  publish_pending();
+  channel_->verifier_send(request.to_bytes());
 }
 
 std::uint64_t AttestationSession::send_attempt(std::uint64_t round,
@@ -198,18 +218,12 @@ std::uint64_t AttestationSession::send_attempt(std::uint64_t round,
   // instead of a replayed one.
   const attest::AttestRequest request = verifier_->make_request();
   const std::uint64_t round_id = reliable_round_id(round);
-  pending_.push_back(
-      Pending{request, queue_->now_ms(), round, round_id, attempt});
-  ++stats_.requests_sent;
   if (attempt > 1) {
     ++stats_.retransmits;
     if (obs_retransmits_ != nullptr) obs_retransmits_->inc();
-    observe_net("net.retry", "sent", request.wire_size(), round_id, attempt);
+    observe_span("net.retry", "sent", request.wire_size(), round_id, attempt);
   }
-  if (obs_pending_ != nullptr) {
-    obs_pending_->set(static_cast<double>(pending_.size()));
-  }
-  channel_->verifier_send(request.to_bytes());
+  dispatch(request, round, round_id, attempt);
   return request.freshness;
 }
 
@@ -219,9 +233,7 @@ void AttestationSession::on_round_closed(std::uint64_t round,
   // Superseded attempts of this round no longer await a response.
   const auto removed = std::erase_if(
       pending_, [&](const Pending& p) { return p.round == round; });
-  if (removed > 0 && obs_pending_ != nullptr) {
-    obs_pending_->set(static_cast<double>(pending_.size()));
-  }
+  if (removed > 0) publish_pending();
   if (outcome == net::RoundOutcome::kUnreachable) {
     ++stats_.rounds_unreachable;
     if (obs_unreachable_ != nullptr) obs_unreachable_->inc();
@@ -238,77 +250,20 @@ void AttestationSession::send_request() {
     return;
   }
   sync_prover_time();
+  const std::uint64_t round_id =
+      obs::prof::make_round_id(obs_.device_id, round_seq_++);
   if (incremental_) {
-    const attest::IncAttestRequest request =
-        verifier_->make_incremental_request();
-    Pending p{attest::AttestRequest{}, queue_->now_ms()};
-    p.round_id = obs::prof::make_round_id(obs_.device_id, round_seq_++);
-    p.inc = true;
-    p.inc_request = request;
-    pending_.push_back(std::move(p));
-    ++stats_.requests_sent;
-    if (obs_pending_ != nullptr) {
-      obs_pending_->set(static_cast<double>(pending_.size()));
-    }
-    channel_->verifier_send(request.to_bytes());
-    return;
+    dispatch(verifier_->make_incremental_request(), 0, round_id, 1);
+  } else {
+    dispatch(verifier_->make_request(), 0, round_id, 1);
   }
-  const attest::AttestRequest request = verifier_->make_request();
-  Pending p{request, queue_->now_ms()};
-  p.round_id = obs::prof::make_round_id(obs_.device_id, round_seq_++);
-  pending_.push_back(std::move(p));
-  ++stats_.requests_sent;
-  if (obs_pending_ != nullptr) {
-    obs_pending_->set(static_cast<double>(pending_.size()));
-  }
-  channel_->verifier_send(request.to_bytes());
 }
 
-void AttestationSession::on_prover_receives(const crypto::Bytes& wire) {
+template <typename Request>
+void AttestationSession::deliver(const crypto::Bytes& wire) {
+  constexpr bool kInc = std::is_same_v<Request, attest::IncAttestRequest>;
   sync_prover_time();
-  if (attest::is_inc_request_frame(wire)) {
-    const auto request = attest::IncAttestRequest::from_bytes(wire);
-    if (!request.has_value()) {
-      ++stats_.requests_malformed;
-      return;
-    }
-    ++stats_.requests_delivered;
-    obs::RoundContext round;
-    if (obs_.enabled()) {
-      const auto pit = std::find_if(
-          pending_.begin(), pending_.end(),
-          [&](const Pending& p) { return p.inc && p.inc_request == *request; });
-      if (pit != pending_.end()) {
-        round.round_id = pit->round_id;
-        round.attempt = pit->attempt;
-      }
-    }
-    const attest::AttestOutcome outcome =
-        prover_->handle_incremental(*request, round);
-    prover_time_ms_ += outcome.device_ms;
-    stats_.prover_attest_ms += outcome.device_ms;
-    if (outcome.status != attest::AttestStatus::kOk) {
-      ++stats_.prover_rejects;
-      switch (outcome.status) {
-        case attest::AttestStatus::kBadRequestMac:
-          ++stats_.rejects_bad_mac;
-          break;
-        case attest::AttestStatus::kNotFresh:
-          ++stats_.rejects_not_fresh;
-          break;
-        case attest::AttestStatus::kRateLimited:
-          ++stats_.rejects_rate_limited;
-          break;
-        default:
-          ++stats_.rejects_other;
-          break;
-      }
-      return;
-    }
-    channel_->prover_send(outcome.inc_response.to_bytes());
-    return;
-  }
-  const auto request = attest::AttestRequest::from_bytes(wire);
+  const auto request = Request::from_bytes(wire);
   if (!request.has_value()) {
     ++stats_.requests_malformed;  // bit corruption on the wire
     return;
@@ -321,15 +276,22 @@ void AttestationSession::on_prover_receives(const crypto::Bytes& wire) {
   obs::RoundContext round;
   if (obs_.enabled()) {
     const auto pit = std::find_if(
-        pending_.begin(), pending_.end(),
-        [&](const Pending& p) { return p.request == *request; });
+        pending_.begin(), pending_.end(), [&](const Pending& p) {
+          const Request* sent = std::get_if<Request>(&p.request);
+          return sent != nullptr && *sent == *request;
+        });
     if (pit != pending_.end()) {
       round.round_id = pit->round_id;
       round.attempt = pit->attempt;
     }
   }
-  const attest::AttestOutcome outcome = prover_->handle(*request, round);
-  prover_time_ms_ += outcome.device_ms;  // handle() advanced device time
+  attest::AttestOutcome outcome;
+  if constexpr (kInc) {
+    outcome = prover_->handle_incremental(*request, round);
+  } else {
+    outcome = prover_->handle(*request, round);
+  }
+  prover_time_ms_ += outcome.device_ms;  // the prover advanced device time
   stats_.prover_attest_ms += outcome.device_ms;
   if (outcome.status != attest::AttestStatus::kOk) {
     ++stats_.prover_rejects;
@@ -349,147 +311,83 @@ void AttestationSession::on_prover_receives(const crypto::Bytes& wire) {
     }
     return;
   }
-  channel_->prover_send(outcome.response.to_bytes());
+  if constexpr (kInc) {
+    channel_->prover_send(outcome.inc_response.to_bytes());
+  } else {
+    channel_->prover_send(outcome.response.to_bytes());
+  }
 }
 
-void AttestationSession::on_verifier_receives(const crypto::Bytes& wire) {
-  if (attest::is_inc_response_frame(wire)) {
-    const auto response = attest::IncAttestResponse::from_bytes(wire);
-    if (!response.has_value()) {
-      ++stats_.responses_malformed;
-      return;
-    }
-    ++stats_.responses_received;
-    const auto it = std::find_if(
-        pending_.begin(), pending_.end(), [&](const Pending& p) {
-          return p.inc && p.inc_request.freshness == response->freshness;
-        });
-    if (it == pending_.end()) {
-      ++stats_.responses_invalid;
-      observe_round("unmatched", -1.0, 0.0, wire.size());
-      return;
-    }
-    ++stats_.inc_rounds;
-    const double verifier_ms = obs_.enabled() ? verifier_check_ms() : 0.0;
-    const double round_trip_ms = queue_->now_ms() - it->sent_ms;
-    if (verifier_->check_incremental(it->inc_request, *response)) {
-      ++stats_.responses_valid;
-      if (response->full_fallback()) ++stats_.inc_full_fallbacks;
-      stats_.inc_pages_refreshed += response->changed_pages.size();
-      if (obs_rounds_valid_ != nullptr) obs_rounds_valid_->inc();
-      profile_net_wait(round_trip_ms, it->round_id);
-      observe_round("valid", round_trip_ms, verifier_ms, wire.size(),
-                    it->round_id, it->attempt);
-    } else {
-      ++stats_.responses_invalid;
-      if (obs_rounds_invalid_ != nullptr) obs_rounds_invalid_->inc();
-      observe_round("invalid", round_trip_ms, verifier_ms, wire.size(),
-                    it->round_id, it->attempt);
-    }
-    pending_.erase(it);
-    if (obs_pending_ != nullptr) {
-      obs_pending_->set(static_cast<double>(pending_.size()));
-    }
-    return;
-  }
-  const auto response = attest::AttestResponse::from_bytes(wire);
+template <typename Response>
+void AttestationSession::settle(const crypto::Bytes& wire) {
+  constexpr bool kInc = std::is_same_v<Response, attest::IncAttestResponse>;
+  using Request = std::conditional_t<kInc, attest::IncAttestRequest,
+                                     attest::AttestRequest>;
+  const auto response = Response::from_bytes(wire);
   if (!response.has_value()) {
     ++stats_.responses_malformed;  // bit corruption on the wire
     return;
   }
   ++stats_.responses_received;
-  if (rtx_ != nullptr) {
-    on_reliable_response(*response, wire.size());
-    return;
+  if constexpr (!kInc) {
+    if (rtx_ != nullptr) {
+      const net::Retransmitter::Hit hit = rtx_->lookup(response->freshness);
+      if (hit.match == net::Retransmitter::Match::kClosed) {
+        // A late copy of an already-settled round: count it, drop it.
+        // The round's verdict must never change.
+        ++stats_.duplicate_responses;
+        if (obs_duplicates_ != nullptr) obs_duplicates_->inc();
+        observe_span("net.duplicate", "suppressed", wire.size(),
+                     reliable_round_id(hit.round));
+        return;
+      }
+    }
   }
+  // A response answers the pending request of its own type carrying its
+  // freshness element; anything else (forged, of the other mode, or for
+  // a round the retransmitter never opened) is unmatched.
   const auto it = std::find_if(
       pending_.begin(), pending_.end(), [&](const Pending& p) {
-        return p.request.freshness == response->freshness;
+        const Request* sent = std::get_if<Request>(&p.request);
+        return sent != nullptr && sent->freshness == response->freshness;
       });
   if (it == pending_.end()) {
     ++stats_.responses_invalid;
     observe_round("unmatched", -1.0, 0.0, wire.size());
     return;
   }
+  const Request& request = std::get<Request>(it->request);
   const double verifier_ms = obs_.enabled() ? verifier_check_ms() : 0.0;
   const double round_trip_ms = queue_->now_ms() - it->sent_ms;
-  if (verifier_->check_response(it->request, *response)) {
-    ++stats_.responses_valid;
-    if (obs_rounds_valid_ != nullptr) obs_rounds_valid_->inc();
-    // Profile before the trace record: the closing "verifier.round" span
-    // finalizes the round's power trace, so its net_wait phase must land
-    // first. The profile hook is not a trace sink — log bytes unchanged.
-    profile_net_wait(round_trip_ms, it->round_id);
-    observe_round("valid", round_trip_ms, verifier_ms, wire.size(),
-                  it->round_id, it->attempt);
-  } else {
-    ++stats_.responses_invalid;
-    if (obs_rounds_invalid_ != nullptr) obs_rounds_invalid_->inc();
-    observe_round("invalid", round_trip_ms, verifier_ms, wire.size(),
-                  it->round_id, it->attempt);
-  }
-  pending_.erase(it);
-  if (obs_pending_ != nullptr) {
-    obs_pending_->set(static_cast<double>(pending_.size()));
-  }
-}
-
-void AttestationSession::on_reliable_response(
-    const attest::AttestResponse& response, std::size_t wire_bytes) {
-  const net::Retransmitter::Hit hit = rtx_->lookup(response.freshness);
-  if (hit.match == net::Retransmitter::Match::kClosed) {
-    // A late copy of an already-settled round: count it, drop it. The
-    // round's verdict must never change.
-    ++stats_.duplicate_responses;
-    if (obs_duplicates_ != nullptr) obs_duplicates_->inc();
-    observe_net("net.duplicate", "suppressed", wire_bytes,
-                reliable_round_id(hit.round));
-    return;
-  }
-  if (hit.match == net::Retransmitter::Match::kUnknown) {
-    ++stats_.responses_invalid;
-    observe_round("unmatched", -1.0, 0.0, wire_bytes);
-    return;
-  }
-  const auto it = std::find_if(
-      pending_.begin(), pending_.end(), [&](const Pending& p) {
-        return p.request.freshness == response.freshness;
-      });
-  if (it == pending_.end()) {
-    ++stats_.responses_invalid;
-    observe_round("unmatched", -1.0, 0.0, wire_bytes);
-    return;
-  }
-  // Copy before any erase: closing the round drops the round's pending
-  // entries (including this one).
-  const attest::AttestRequest request = it->request;
-  const double sent_ms = it->sent_ms;
-  const std::uint64_t round = it->round;
-  const std::uint64_t round_id = it->round_id;
-  const std::uint32_t attempt = it->attempt;
-  const double verifier_ms = obs_.enabled() ? verifier_check_ms() : 0.0;
-  const double round_trip_ms = queue_->now_ms() - sent_ms;
-  if (verifier_->check_response(request, response)) {
-    ++stats_.responses_valid;
-    if (obs_rounds_valid_ != nullptr) obs_rounds_valid_->inc();
-    // Same ordering as the plain path: the closing span finalizes the
-    // round's power trace, so the net_wait phase must precede it.
-    profile_net_wait(round_trip_ms, round_id);
-    observe_round("valid", round_trip_ms, verifier_ms, wire_bytes, round_id,
-                  attempt);
-    rtx_->close_valid(round);
-  } else {
-    // Bad MAC on an open round (e.g. corrupted in flight): discard this
-    // attempt but keep the round open — a pending retry can still
-    // recover it.
-    ++stats_.responses_invalid;
-    if (obs_rounds_invalid_ != nullptr) obs_rounds_invalid_->inc();
-    observe_round("invalid", round_trip_ms, verifier_ms, wire_bytes,
-                  round_id, attempt);
-    pending_.erase(it);
-    if (obs_pending_ != nullptr) {
-      obs_pending_->set(static_cast<double>(pending_.size()));
+  bool valid = false;
+  if constexpr (kInc) {
+    ++stats_.inc_rounds;
+    valid = verifier_->check_incremental(request, *response);
+    if (valid) {
+      if (response->full_fallback()) ++stats_.inc_full_fallbacks;
+      stats_.inc_pages_refreshed += response->changed_pages.size();
     }
+  } else {
+    valid = verifier_->check_response(request, *response);
+  }
+  ++(valid ? stats_.responses_valid : stats_.responses_invalid);
+  obs::Counter* rounds = valid ? obs_rounds_valid_ : obs_rounds_invalid_;
+  if (rounds != nullptr) rounds->inc();
+  // Profile before the trace record: the closing "verifier.round" span
+  // finalizes the round's power trace, so its net_wait phase must land
+  // first. The profile hook is not a trace sink — log bytes unchanged.
+  if (valid) profile_net_wait(round_trip_ms, it->round_id);
+  observe_round(valid ? "valid" : "invalid", round_trip_ms, verifier_ms,
+                wire.size(), it->round_id, it->attempt);
+  if (valid && rtx_ != nullptr) {
+    // Closing the round drops all of its pending attempts, this one too.
+    rtx_->close_valid(it->round);
+  } else {
+    // Reliable mode keeps a round open past a bad MAC (e.g. corrupted in
+    // flight): only this attempt is discarded, and a pending retry can
+    // still recover the round.
+    pending_.erase(it);
+    publish_pending();
   }
 }
 
@@ -508,9 +406,7 @@ std::size_t AttestationSession::check_timeouts(double timeout_ms) {
       ++it;
     }
   }
-  if (expired > 0 && obs_pending_ != nullptr) {
-    obs_pending_->set(static_cast<double>(pending_.size()));
-  }
+  if (expired > 0) publish_pending();
   return expired;
 }
 

@@ -6,11 +6,19 @@
 // prover processes a delivery, its device time is advanced to the event
 // time, so device clocks, timestamps, and the verifier's clock all agree
 // on one timeline — up to the device time the prover spends computing.
+//
+// Plain, incremental and reliable rounds share one round path, typed by
+// message: dispatch() a request, deliver() it to the prover, settle()
+// the response. Only what really differs is per mode: the request the
+// verifier mints, the retransmitter's duplicate check and round close,
+// and the incremental stats.
 #pragma once
 
 #include <cstdint>
 
 #include <memory>
+#include <variant>
+#include <vector>
 
 #include "ratt/attest/prover.hpp"
 #include "ratt/attest/verifier.hpp"
@@ -109,20 +117,26 @@ class AttestationSession {
   const Stats& stats() const { return stats_; }
 
  private:
-  void on_prover_receives(const crypto::Bytes& wire);
-  void on_verifier_receives(const crypto::Bytes& wire);
-  void on_reliable_response(const attest::AttestResponse& response,
-                            std::size_t wire_bytes);
+  /// The round path (see top): settle() pairs a response with the
+  /// pending request of its own type and freshness.
+  template <typename Request>
+  void dispatch(const Request& request, std::uint64_t round,
+                std::uint64_t round_id, std::uint32_t attempt);
+  template <typename Request>
+  void deliver(const crypto::Bytes& wire);
+  template <typename Response>
+  void settle(const crypto::Bytes& wire);
   std::uint64_t send_attempt(std::uint64_t round, std::uint32_t attempt);
   void on_round_closed(std::uint64_t round, net::RoundOutcome outcome,
                        std::uint32_t attempts);
   void sync_prover_time();
+  void publish_pending();
   void observe_round(const char* outcome, double round_trip_ms,
                      double verifier_ms, std::size_t wire_bytes,
                      std::uint64_t round_id = 0, std::uint32_t attempt = 0);
-  void observe_net(const char* kind, const char* outcome,
-                   std::size_t wire_bytes, std::uint64_t round_id = 0,
-                   std::uint32_t attempt = 0);
+  void observe_span(const char* kind, const char* outcome,
+                    std::size_t wire_bytes, std::uint64_t round_id = 0,
+                    std::uint32_t attempt = 0, double verifier_ms = 0.0);
   void profile_net_wait(double round_trip_ms, std::uint64_t round_id);
   void cache_net_instruments();
   double verifier_check_ms() const;
@@ -136,17 +150,15 @@ class AttestationSession {
   attest::Verifier* verifier_;
   Stats stats_;
   double prover_time_ms_ = 0.0;  // device time already accounted
-  // Requests awaiting a response, with their send time (and, in reliable
-  // mode, the round the attempt belongs to).
+  // A request awaiting its response, as sent (a response only matches
+  // its own type), with its send time and round. In reliable mode every
+  // attempt of an open round has an entry.
   struct Pending {
-    attest::AttestRequest request;
+    std::variant<attest::AttestRequest, attest::IncAttestRequest> request;
     double sent_ms;
     std::uint64_t round = 0;     // Retransmitter round (reliable mode)
     std::uint64_t round_id = 0;  // causal id (prof::make_round_id)
     std::uint32_t attempt = 1;   // wire attempt within the round
-    // Incremental mode: the request lives here instead (inc == true).
-    bool inc = false;
-    attest::IncAttestRequest inc_request;
   };
   std::vector<Pending> pending_;
   std::unique_ptr<net::Retransmitter> rtx_;

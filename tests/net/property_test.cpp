@@ -10,6 +10,11 @@
 //   determinism — the same seed reproduces the byte-identical link event
 //                 log, link stats and session stats.
 //
+// Each (profile, seed) also runs one incremental session over the same
+// link without retries: the queue drains, no freshness element is
+// accepted twice, no more rounds validate than were sent, and a rerun
+// reproduces the link log and stats.
+//
 // RATT_NET_SEEDS overrides the per-profile seed count (default 500; CI's
 // gated long sweep sets 5000).
 #include <gtest/gtest.h>
@@ -57,10 +62,11 @@ struct RunResult {
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
-/// One full reliable session over a faulty link: 5 verifier-initiated
-/// rounds, drained to quiescence.
-RunResult run_once(const net::LinkProfile& profile,
-                   std::uint64_t seed_value) {
+/// One session over a faulty link: 5 verifier-initiated rounds, drained
+/// to quiescence. Reliable full rounds by default; `incremental` runs
+/// incremental rounds without retries instead.
+RunResult run_once(const net::LinkProfile& profile, std::uint64_t seed_value,
+                   bool incremental = false) {
   const crypto::Bytes seed = sweep_seed(profile.name, seed_value);
 
   ProverConfig config;
@@ -72,6 +78,7 @@ RunResult run_once(const net::LinkProfile& profile,
   config.measured_bytes = 1024;
   config.enable_audit_log = true;
   config.audit_capacity = 128;
+  config.enable_incremental = incremental;
   ProverDevice prover(config, crypto::from_string("sweep-key-0123456"),
                       seed);
 
@@ -88,14 +95,18 @@ RunResult run_once(const net::LinkProfile& profile,
   channel.set_tap(&link);
   AttestationSession session(queue, channel, prover, verifier);
 
-  net::RetryPolicy policy;
-  policy.max_attempts = 4;
-  // Above the worst-case hostile wire delay (2×(2 ms latency + 25 ms
-  // jitter) + 20 ms dup delay), so a delivered response normally beats
-  // its attempt timer.
-  policy.base_timeout_ms = 80.0;
-  policy.jitter_ms = 5.0;
-  session.enable_reliable(policy, seed);
+  if (incremental) {
+    session.set_incremental(true);
+  } else {
+    net::RetryPolicy policy;
+    policy.max_attempts = 4;
+    // Above the worst-case hostile wire delay (2×(2 ms latency + 25 ms
+    // jitter) + 20 ms dup delay), so a delivered response normally beats
+    // its attempt timer.
+    policy.base_timeout_ms = 80.0;
+    policy.jitter_ms = 5.0;
+    session.enable_reliable(policy, seed);
+  }
 
   session.schedule_rounds(/*period_ms=*/150.0, /*horizon_ms=*/750.0);
 
@@ -148,6 +159,23 @@ TEST_P(LinkSweep, LivenessSafetyDeterminism) {
       ASSERT_EQ(run, rerun) << "seed " << s;
     }
     unreachable_total += run.stats.rounds_unreachable;
+
+    // Incremental rounds over the same link, no retries: duplicated
+    // and corrupted frames must not double-accept or over-validate.
+    const RunResult inc = run_once(*profile, s, /*incremental=*/true);
+    ASSERT_EQ(inc.events_leftover, 0u) << "incremental seed " << s;
+    ASSERT_EQ(inc.stats.requests_sent, 5u) << "incremental seed " << s;
+    ASSERT_EQ(inc.double_accepts, 0u) << "incremental seed " << s;
+    ASSERT_LE(inc.stats.responses_valid, inc.stats.requests_sent)
+        << "incremental seed " << s;
+    if (profile->is_clean()) {
+      ASSERT_EQ(inc.stats.responses_valid, 5u) << "incremental seed " << s;
+    }
+    if (s % 16 == 0) {
+      const RunResult rerun = run_once(*profile, s, /*incremental=*/true);
+      ASSERT_EQ(inc.link_log, rerun.link_log) << "incremental seed " << s;
+      ASSERT_EQ(inc, rerun) << "incremental seed " << s;
+    }
   }
 
   if (profile->is_clean()) {

@@ -168,7 +168,9 @@ TEST(JsonlWriter, HostileLabelsEscapedInStream) {
   EXPECT_NE(text.find("\"\\u001f\""), std::string::npos);
   // Newline terminators are the only raw control bytes left.
   for (const char c : text) {
-    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    }
   }
 }
 

@@ -153,5 +153,64 @@ TEST_F(SessionFixture, TimeoutsSpareInFlightRequests) {
   EXPECT_EQ(session_->stats().responses_missing, 0u);
 }
 
+// A forged response of the other mode's type, injected at 1 ms while the
+// session's only round is in flight: it must stay unmatched (one invalid
+// response) and leave the genuine round to validate. Responses match a
+// pending round by type and freshness — an AttestResponse echoing
+// freshness 0 is no answer to an incremental round.
+struct ForgedFrameCase {
+  const char* name;
+  bool incremental;
+};
+
+void PrintTo(const ForgedFrameCase& c, std::ostream* os) { *os << c.name; }
+
+class ForgedResponseType : public ::testing::TestWithParam<ForgedFrameCase> {
+};
+
+TEST_P(ForgedResponseType, StaysUnmatchedAndGenuineRoundValidates) {
+  const bool incremental = GetParam().incremental;
+  ProverConfig config;
+  config.scheme = FreshnessScheme::kCounter;
+  config.measured_bytes = 1024;
+  config.enable_incremental = incremental;
+  ProverDevice prover(config, key(), crypto::from_string("session-app"));
+  Verifier::Config vc;
+  vc.scheme = FreshnessScheme::kCounter;
+  Verifier verifier(key(), vc, crypto::from_string("session-v"));
+  verifier.set_reference_memory(prover.reference_memory());
+  EventQueue queue;
+  Channel channel(queue, /*latency_ms=*/2.0);
+  AttestationSession session(queue, channel, prover, verifier);
+  session.set_incremental(incremental);
+
+  session.send_request();
+  if (incremental) {
+    attest::AttestResponse forged;
+    forged.freshness = 0;
+    forged.measurement = crypto::Bytes(20, 0xee);
+    channel.inject_to_verifier(forged.to_bytes(), 1.0);
+  } else {
+    attest::IncAttestResponse forged;
+    forged.freshness = verifier.counter();  // the live round's element
+    forged.new_gen = 1;
+    forged.measurement = crypto::Bytes(20, 0xee);
+    channel.inject_to_verifier(forged.to_bytes(), 1.0);
+  }
+  queue.run_all();
+
+  const auto& stats = session.stats();
+  EXPECT_EQ(stats.responses_received, 2u);
+  EXPECT_EQ(stats.responses_valid, 1u);
+  EXPECT_EQ(stats.responses_invalid, 1u);  // the forged frame, unmatched
+  EXPECT_EQ(stats.inc_rounds, incremental ? 1u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, ForgedResponseType,
+    ::testing::Values(ForgedFrameCase{"AttestResponseIntoIncremental", true},
+                      ForgedFrameCase{"IncAttestResponseIntoPlain", false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 }  // namespace
 }  // namespace ratt::sim
