@@ -4,13 +4,34 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "ratt/crypto/drbg.hpp"
+#include "ratt/crypto/hkdf.hpp"
 
 namespace ratt::sim {
+
+crypto::Bytes device_seed_prk(crypto::ByteView fleet_seed) {
+  return crypto::hkdf_extract(crypto::from_string("ratt::swarm-device-v1"),
+                              fleet_seed);
+}
+
+DeviceSeeds derive_device_seeds(crypto::ByteView prk, std::uint64_t id) {
+  // info = label || be64(id). No label is a prefix of another, so two
+  // (purpose, id) pairs never share an info string.
+  const auto expand = [prk, id](std::string_view label) {
+    crypto::Bytes info = crypto::from_string(label);
+    info.resize(label.size() + 8);
+    crypto::store_be64(info.data() + label.size(), id);
+    return crypto::hkdf_expand(prk, info, 16);
+  };
+  return DeviceSeeds{.key = expand("k_attest"),
+                     .app = expand("app_seed"),
+                     .verifier = expand("verifier_seed")};
+}
 
 std::uint64_t SwarmReport::total_valid() const {
   std::uint64_t n = 0;
@@ -57,37 +78,22 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
     shards_.push_back(std::move(shard));
   }
 
-  // Seed pre-draw: every per-device draw the eager constructor made
-  // happens here, in global device order, into one packed blob — so keys
-  // are independent of the shard plan AND of which devices ever
-  // materialize (and identical to the legacy eager layout).
-  crypto::HmacDrbg fleet_drbg(fleet_seed);
-  // ratt::net seeds come from a SEPARATE stream: enabling transport
-  // faults or reliable rounds must not shift the key/app/verifier draws
-  // above, or every clean-run golden would silently change.
+  device_prk_ = device_seed_prk(fleet_seed);
+  // ratt::net seeds come from a separate DRBG stream, drawn for every
+  // device in global device order, so the fault schedule of device i
+  // never depends on the profiles — or reliable flag — chosen for the
+  // devices before it.
   net_mode_ = config.reliable || config.link_for != nullptr ||
               !config.link.is_clean();
-  std::optional<crypto::HmacDrbg> net_drbg;
   if (net_mode_) {
     crypto::Bytes net_seed(fleet_seed.begin(), fleet_seed.end());
     crypto::append(net_seed, crypto::from_string("ratt::net"));
-    net_drbg.emplace(net_seed);
-  }
-  const std::size_t stride = seed_stride();
-  seeds_.resize(n * stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t* out = seeds_.data() + i * stride;
-    for (int draw = 0; draw < 3; ++draw) {
-      const crypto::Bytes b = fleet_drbg.generate(16);
-      std::memcpy(out + draw * 16, b.data(), 16);
-    }
-    if (net_drbg.has_value()) {
-      // Both seeds are drawn for every device in global device order, so
-      // the fault schedule of device i never depends on the profiles —
-      // or reliable flag — chosen for the devices before it.
+    crypto::HmacDrbg net_drbg(net_seed);
+    net_seeds_.resize(n * 32);
+    for (std::size_t i = 0; i < n; ++i) {
       for (int draw = 0; draw < 2; ++draw) {
-        const crypto::Bytes b = net_drbg->generate(16);
-        std::memcpy(out + 48 + draw * 16, b.data(), 16);
+        const crypto::Bytes b = net_drbg.generate(16);
+        std::memcpy(net_seeds_.data() + i * 32 + draw * 16, b.data(), 16);
       }
     }
   }
@@ -95,7 +101,7 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
 
   if (config.share_app_image) {
     // One image for the whole fleet, derived from a dedicated stream so
-    // it neither consumes per-device draws nor depends on device count.
+    // it does not depend on device count.
     crypto::Bytes image_seed(fleet_seed.begin(), fleet_seed.end());
     crypto::append(image_seed, crypto::from_string("ratt::app-image"));
     crypto::HmacDrbg image_drbg(image_seed);
@@ -105,6 +111,14 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
     shared_reference_ =
         std::make_shared<const crypto::Bytes>(tmpl->reference_memory);
     template_ = std::move(tmpl);
+  }
+}
+
+void Swarm::check_device(std::size_t i) const {
+  if (i >= devices_.size()) {
+    throw std::out_of_range("Swarm: device index " + std::to_string(i) +
+                            " out of range (size " +
+                            std::to_string(devices_.size()) + ")");
   }
 }
 
@@ -121,6 +135,7 @@ std::size_t Swarm::shard_of(std::size_t i) const {
 }
 
 Swarm::Device& Swarm::materialize(std::size_t i) {
+  check_device(i);
   if (devices_[i] != nullptr) return *devices_[i];
   const std::size_t shard_idx = shard_of(i);
   Shard& shard = *shards_[shard_idx];
@@ -130,17 +145,15 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   Device d;
   d.index = i;
   d.shard = shard_idx;
-  const std::uint8_t* seeds = seeds_.data() + i * seed_stride();
-  d.key.assign(seeds, seeds + 16);
-  const crypto::ByteView app_seed(seeds + 16, 16);
-  const crypto::ByteView verifier_seed(seeds + 32, 16);
+  DeviceSeeds seeds = derive_device_seeds(device_prk_, i);
+  d.key = std::move(seeds.key);
 
   if (template_ != nullptr) {
     d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
                                                       *template_);
   } else {
     d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
-                                                      app_seed);
+                                                      seeds.app);
   }
 
   attest::Verifier::Config vc;
@@ -150,7 +163,7 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   vc.bind_generation = config_.prover.bind_generation;
   attest::ProverDevice* prover_ptr = d.prover.get();
   vc.clock = [prover_ptr] { return prover_ptr->ground_truth_ticks(); };
-  d.verifier = std::make_unique<attest::Verifier>(d.key, vc, verifier_seed);
+  d.verifier = std::make_unique<attest::Verifier>(d.key, vc, seeds.verifier);
   if (shared_reference_ != nullptr) {
     d.verifier->set_reference_memory(shared_reference_);
   } else {
@@ -165,8 +178,9 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   d.session = std::make_unique<AttestationSession>(shard.queue, *d.channel,
                                                    *d.prover, *d.verifier);
   if (net_mode_) {
-    const crypto::Bytes link_seed(seeds + 48, seeds + 64);
-    const crypto::ByteView jitter_seed(seeds + 64, 16);
+    const std::uint8_t* net_seeds = net_seeds_.data() + i * 32;
+    const crypto::Bytes link_seed(net_seeds, net_seeds + 16);
+    const crypto::ByteView jitter_seed(net_seeds + 16, 16);
     const net::LinkProfile profile =
         config_.link_for ? config_.link_for(i) : config_.link;
     d.link = std::make_unique<net::FaultyLink>(profile, link_seed);

@@ -24,13 +24,14 @@
 //     time multiplicatively as offset + k * period (drift-free) and
 //     re-arms round k+1 — pending events stay O(devices), not
 //     O(devices x horizon/period).
-//   * Lazy device materialization: construction pre-draws every
-//     per-device seed from the fleet DRBG in global device order (so
-//     keys are bit-identical to the eager layout and independent of
-//     which devices ever wake), but the ProverDevice/Verifier/Channel/
-//     Session quad is built only when a device is first touched. A cold
-//     device costs its pre-drawn seeds (48 B, 80 B with ratt::net) plus
-//     one pointer slot; a materialized one owns its components through
+//   * Lazy device materialization: the ProverDevice/Verifier/Channel/
+//     Session quad is built only when a device is first touched. Its key,
+//     app and verifier seeds are derived right then, on the owning shard's
+//     worker, as a pure function of (fleet seed, device id, purpose) — see
+//     derive_device_seeds() — so they never depend on the shard plan, the
+//     thread count or which devices wake first. A cold device costs one
+//     pointer slot (plus 32 B of pre-drawn link/jitter seeds with
+//     ratt::net); a materialized one owns its components through
 //     unique_ptrs (see resident() for the accounting).
 //   * Shared templates (SwarmConfig::share_app_image): one vendor-signed
 //     boot image + one verifier reference copy for the whole fleet, with
@@ -88,10 +89,10 @@ struct SwarmConfig {
   net::RetryPolicy retry;
   /// Share one application image (and one verifier reference copy)
   /// across the fleet instead of deriving a per-device image from the
-  /// app seed. Keys and freshness state stay per-device; the per-device
-  /// seed draws still happen, so enabling this never changes the fleet's
-  /// keys. Off by default — per-device images are the paper's model;
-  /// fleet-scale benches turn it on.
+  /// app seed. Keys and freshness state stay per-device, and the app seed
+  /// is derived independently of the key, so enabling this never changes
+  /// the fleet's keys. Off by default — per-device images are the paper's
+  /// model; fleet-scale benches turn it on.
   bool share_app_image = false;
   /// Multi-buffer MAC batching: every shard owns one attest::VerifierBatch
   /// and device verifiers precompute lookahead rounds through it in
@@ -126,6 +127,22 @@ struct SwarmReport {
   friend bool operator==(const SwarmReport&, const SwarmReport&) = default;
 };
 
+/// One device's secrets: 16 B each, a pure function of (fleet seed,
+/// device id, purpose).
+struct DeviceSeeds {
+  crypto::Bytes key;       // K_Attest
+  crypto::Bytes app;       // application image seed
+  crypto::Bytes verifier;  // verifier DRBG seed
+};
+
+/// HKDF-Extract (RFC 5869, HMAC-SHA256) of a fleet seed under the salt
+/// "ratt::swarm-device-v1": the PRK every device's seeds expand from.
+crypto::Bytes device_seed_prk(crypto::ByteView fleet_seed);
+
+/// Device `id`'s seeds: 16 B of HKDF-Expand(prk, label || be64(id)) with
+/// label "k_attest", "app_seed" and "verifier_seed" respectively.
+DeviceSeeds derive_device_seeds(crypto::ByteView prk, std::uint64_t id);
+
 class Swarm {
  public:
   Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed);
@@ -135,11 +152,14 @@ class Swarm {
 
   /// The event queue owning device i's channel and session.
   EventQueue& queue_of(std::size_t device) {
+    check_device(device);
     return shards_[shard_of(device)]->queue;
   }
 
   // Device accessors materialize the device on first touch (see the lazy
-  // materialization notes above) — cheap no-ops once it exists.
+  // materialization notes above) — cheap no-ops once it exists. Every
+  // accessor taking a device index throws std::out_of_range unless
+  // index < size().
   attest::ProverDevice& prover(std::size_t i) {
     return *materialize(i).prover;
   }
@@ -157,7 +177,10 @@ class Swarm {
   /// Has device i been materialized yet? (Pure query — never triggers
   /// materialization; unmaterialized devices report default stats,
   /// identical to a materialized device that never saw an event.)
-  bool is_materialized(std::size_t i) const { return devices_[i] != nullptr; }
+  bool is_materialized(std::size_t i) const {
+    check_device(i);
+    return devices_[i] != nullptr;
+  }
   std::size_t materialized_count() const;
 
   // Observer plan: every shard holds the obs::Observer its devices get
@@ -303,6 +326,8 @@ class Swarm {
     obs::Observer observer;
   };
 
+  /// Throws std::out_of_range unless i < size().
+  void check_device(std::size_t i) const;
   /// Shard owning device i (O(1) from the contiguous block plan).
   std::size_t shard_of(std::size_t i) const;
   /// Build device i (link, prover, verifier, channel, session) into its
@@ -317,7 +342,6 @@ class Swarm {
   /// Arm round k (1-based) of device i's lazy chain; no-op beyond the
   /// scheduled horizon.
   void arm_round(std::size_t i, std::uint64_t k);
-  std::size_t seed_stride() const { return net_mode_ ? 80 : 48; }
   /// Per-shard run_all budget derived from the scheduled work (devices x
   /// expected rounds x safety factor) — a flat constant strands healthy
   /// tails at fleet scale; runaway chains still exceed any finite value.
@@ -334,11 +358,14 @@ class Swarm {
   /// into the owning shard's deque. Distinct elements are written by
   /// distinct shard workers — never the same element from two threads.
   std::vector<Device*> devices_;
-  /// Every per-device DRBG draw, made eagerly at construction in global
-  /// device order (key, app seed, verifier seed[, link seed, jitter
-  /// seed] — seed_stride() bytes per device): materialization order can
-  /// never change the fleet's keys.
-  std::vector<std::uint8_t> seeds_;
+  /// device_seed_prk(fleet seed): materialize(i) expands device i's key,
+  /// app and verifier seeds from it.
+  crypto::Bytes device_prk_;
+  /// ratt::net link and jitter seeds (32 B per device, net mode only),
+  /// drawn at construction from their own DRBG stream in global device
+  /// order. That stream's bytes are pinned by lossy-link goldens, so it
+  /// stays a pre-drawn table rather than an HKDF derivation.
+  std::vector<std::uint8_t> net_seeds_;
   /// Shared boot image + verifier reference (share_app_image mode).
   std::shared_ptr<const attest::ProverTemplate> template_;
   std::shared_ptr<const crypto::Bytes> shared_reference_;

@@ -452,5 +452,29 @@ TEST(SwarmFleet, ThrowingComponentLeavesNoHalfBuiltDevice) {
   EXPECT_EQ(swarm.materialized_count(), 0u);
 }
 
+TEST(SwarmFleet, OutOfRangeDeviceIndexThrows) {
+  // Every accessor taking a device index rejects index >= size() — the
+  // empty fleet included — and builds nothing on the way out.
+  SwarmConfig lossy = sharded_fleet(8);
+  lossy.link = net::lossy10_link();
+  SwarmConfig empty = sharded_fleet(0);
+  for (const SwarmConfig& config : {sharded_fleet(8), lossy, empty}) {
+    Swarm swarm(config, crypto::from_string("shard-seed"));
+    for (const std::size_t i :
+         {swarm.size(), swarm.size() + 1, static_cast<std::size_t>(-1)}) {
+      SCOPED_TRACE(testing::Message() << "size " << swarm.size() << ", index "
+                                      << i);
+      EXPECT_THROW(swarm.queue_of(i), std::out_of_range);
+      EXPECT_THROW(swarm.prover(i), std::out_of_range);
+      EXPECT_THROW(swarm.channel(i), std::out_of_range);
+      EXPECT_THROW(swarm.session(i), std::out_of_range);
+      EXPECT_THROW(swarm.device_key(i), std::out_of_range);
+      EXPECT_THROW(swarm.faulty_link(i), std::out_of_range);
+      EXPECT_THROW((void)swarm.is_materialized(i), std::out_of_range);
+    }
+    EXPECT_EQ(swarm.materialized_count(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace ratt::sim

@@ -45,8 +45,8 @@ TEST(SwarmShard, ShardCountClampedToDevices) {
 }
 
 TEST(SwarmShard, KeysIndependentOfShardPlan) {
-  // The fleet DRBG draws in global device order, so the shard plan must
-  // not perturb per-device keys.
+  // Keys derive from (fleet seed, device id) alone, so the shard plan
+  // must not perturb them.
   Swarm one(fleet(8, 1), crypto::from_string("shard-seed"));
   Swarm four(fleet(8, 4), crypto::from_string("shard-seed"));
   Swarm eight(fleet(8, 8), crypto::from_string("shard-seed"));
