@@ -1,9 +1,11 @@
 // ratt::obs — structured tracing: one TraceRecord per interesting unit of
 // work (a prover handling a request, a verifier closing a round, a DoS
 // request landing). Records flow into an injected TraceSink; the bundled
-// RingRecorder keeps the last N in a fixed ring, and the exporters write
+// RingRecorder keeps the last N in a bounded ring, and the exporters write
 // JSONL / CSV with deterministic number formatting (shortest round-trip
 // via std::to_chars), so same-seed runs produce byte-identical traces.
+// The merge and both exporters run on the obs pool (pool.hpp); their
+// output bytes never depend on its thread count.
 #pragma once
 
 #include <cstdint>
@@ -49,15 +51,22 @@ class TraceSink {
   virtual std::uint64_t dropped_total() const { return 0; }
 };
 
-/// Fixed-capacity ring recorder: the last `capacity` records survive;
-/// older ones are overwritten (dropped() tells how many).
+/// Records per block of the pooled work split: merge_traces copies its
+/// output, and write_jsonl / write_csv format their text, in blocks of this
+/// many records. Only the split depends on it, never the bytes.
+inline constexpr std::size_t kExportBlockRecords = 4096;
+
+/// Bounded ring recorder: the last `capacity` records survive; older ones
+/// are overwritten (dropped() tells how many). `capacity` is a bound, not a
+/// preallocation: the ring reserves address space for it but constructs no
+/// record up front, so its resident memory grows with the records held.
 class RingRecorder : public TraceSink {
  public:
   explicit RingRecorder(std::size_t capacity = 4096);
 
   void record(const TraceRecord& rec) override;
 
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t total_recorded() const { return total_; }
   std::uint64_t dropped() const;
   std::uint64_t dropped_total() const override { return dropped(); }
@@ -67,13 +76,12 @@ class RingRecorder : public TraceSink {
   void set_dropped_counter(Counter* counter) { dropped_counter_ = counter; }
 
   /// Live records (at most capacity()).
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return ring_.size(); }
 
   /// The i-th surviving record, oldest first (i < size()); reads the ring
   /// in place, so snapshot()[i] == at(i) without the copy.
   const TraceRecord& at(std::size_t i) const {
-    // Oldest record sits at head_ once the ring has wrapped.
-    std::size_t slot = (size_ == ring_.size() ? head_ : 0) + i;
+    std::size_t slot = head_ + i;
     if (slot >= ring_.size()) slot -= ring_.size();
     return ring_[slot];
   }
@@ -82,9 +90,9 @@ class RingRecorder : public TraceSink {
   std::vector<TraceRecord> snapshot() const;
 
  private:
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;     // next write slot
-  std::size_t size_ = 0;     // live records
+  std::size_t capacity_;
+  std::vector<TraceRecord> ring_;  // appended up to capacity_, then wraps
+  std::size_t head_ = 0;     // oldest record (next overwrite); 0 until full
   std::uint64_t total_ = 0;  // ever recorded
   Counter* dropped_counter_ = nullptr;
 };
@@ -119,17 +127,22 @@ class TeeSink : public TraceSink {
 /// records, at any shard count, including the legacy single-queue layout.
 ///
 /// A ring is not itself time-ordered (prover records carry the device's
-/// MCU clock, verifier records the queue clock), so each ring is
-/// key-sorted first and the sorted rings are then k-way merged; every
-/// record is copied once, ring to output.
+/// MCU clock, verifier records the queue clock), so each ring's
+/// (time, device, index) keys are sorted on the pool first, the sorted
+/// keys are then k-way merged on the calling thread, and the records are
+/// copied once, ring to output, in kExportBlockRecords blocks on the pool.
 std::vector<TraceRecord> merge_traces(
     std::span<const RingRecorder* const> rings);
 
 /// One JSON object per line, keys in schema order. Deterministic: shortest
-/// round-trip doubles, no locale dependence.
+/// round-trip doubles, no locale dependence. Blocks of kExportBlockRecords
+/// records are formatted on the pool while the calling thread writes
+/// finished blocks to `out` in order. If `out` throws (exceptions() set),
+/// the pool's threads are stopped and joined before the exception leaves.
 void write_jsonl(std::ostream& out, std::span<const TraceRecord> records);
 
-/// CSV with a header row, same columns as the JSONL keys.
+/// CSV with a header row, same columns as the JSONL keys; same block
+/// writer as write_jsonl.
 void write_csv(std::ostream& out, std::span<const TraceRecord> records);
 
 /// Single-record JSONL line (no trailing newline) — also the golden-file

@@ -7,10 +7,11 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
+#include <system_error>
 
 #include "ratt/crypto/drbg.hpp"
 #include "ratt/crypto/hkdf.hpp"
+#include "ratt/obs/pool.hpp"
 
 namespace ratt::sim {
 
@@ -111,6 +112,18 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
     shared_reference_ =
         std::make_shared<const crypto::Bytes>(tmpl->reference_memory);
     template_ = std::move(tmpl);
+  }
+}
+
+Swarm::~Swarm() {
+  // Shards share nothing but thread-safe reference counts (the fleet
+  // template's pages), so they are torn down in parallel, one per ticket.
+  // If no thread can be started, the shards_ member's own destructor
+  // frees whatever is left on this thread instead.
+  try {
+    obs::parallel_for(shards_.size(), obs::tail_workers(shards_.size()),
+                      [this](std::size_t s) { shards_[s].reset(); });
+  } catch (const std::system_error&) {
   }
 }
 
@@ -363,36 +376,19 @@ std::size_t Swarm::shard_budget(const Shard& shard) const {
 }
 
 std::size_t Swarm::drain(std::size_t threads) {
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min(threads, shards_.size()));
-  if (workers == 1) {
-    // run_all's bounded drain leaves any stranded backlog pending, which
-    // report() picks up as events_leftover.
-    std::size_t leftover = 0;
-    for (auto& shard : shards_) {
-      leftover += shard->queue.run_all(shard_budget(*shard));
-    }
-    return leftover;
-  }
-  // Shards are fully independent event streams; hand them out to the
-  // workers by atomic ticket. All cross-thread state is the ticket, the
-  // leftover tally and the registry's thread-safe instruments (lazy
-  // materialization only ever happens on a device's owning shard worker).
-  std::atomic<std::size_t> next{0};
+  // Shards are fully independent event streams, one per pool ticket. All
+  // cross-thread state is the ticket, the leftover tally and the
+  // registry's thread-safe instruments (lazy materialization only ever
+  // happens on a device's owning shard worker). run_all's bounded drain
+  // leaves any stranded backlog pending, which report() picks up as
+  // events_leftover.
   std::atomic<std::size_t> leftover{0};
-  const auto worker = [this, &next, &leftover] {
-    for (std::size_t s;
-         (s = next.fetch_add(1, std::memory_order_relaxed)) <
-         shards_.size();) {
-      leftover.fetch_add(shards_[s]->queue.run_all(shard_budget(*shards_[s])),
-                         std::memory_order_relaxed);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& t : pool) t.join();
+  obs::parallel_for(shards_.size(), std::min(threads, shards_.size()),
+                    [this, &leftover](std::size_t s) {
+                      leftover.fetch_add(
+                          shards_[s]->queue.run_all(shard_budget(*shards_[s])),
+                          std::memory_order_relaxed);
+                    });
   return leftover.load(std::memory_order_relaxed);
 }
 

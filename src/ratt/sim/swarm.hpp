@@ -146,6 +146,10 @@ DeviceSeeds derive_device_seeds(crypto::ByteView prk, std::uint64_t id);
 class Swarm {
  public:
   Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed);
+  /// Tears the shards down in parallel on the obs pool.
+  ~Swarm();
+  Swarm(const Swarm&) = delete;
+  Swarm& operator=(const Swarm&) = delete;
 
   std::size_t size() const { return devices_.size(); }
   std::size_t shard_count() const { return shards_.size(); }
@@ -198,7 +202,9 @@ class Swarm {
   void attach_observer(obs::Registry* registry, obs::TraceSink* sink);
 
   /// Sharded tracing + profiling for parallel runs: every shard records
-  /// into its own private RingRecorder (`ring_capacity` records each) and
+  /// into its own private RingRecorder (at most `ring_capacity` records
+  /// each — a bound, not a preallocation: ring memory grows with the
+  /// records held, and the worker that records them faults it in) and
   /// its own prof::ShardProfile, so worker threads never share a sink or
   /// accumulator; the shared registry only needs its thread-safe
   /// instruments. Ring evictions feed the "obs.trace.dropped" counter.

@@ -58,8 +58,10 @@ TraceRecord rec(double t, std::uint64_t dev, std::size_t ring,
 
 class Rings {
  public:
-  Rings(std::size_t count, std::size_t capacity) {
-    for (std::size_t i = 0; i < count; ++i) {
+  Rings(std::size_t count, std::size_t capacity)
+      : Rings(std::vector<std::size_t>(count, capacity)) {}
+  explicit Rings(const std::vector<std::size_t>& capacities) {
+    for (const std::size_t capacity : capacities) {
       owned_.push_back(std::make_unique<RingRecorder>(capacity));
       views_.push_back(owned_.back().get());
     }
@@ -82,14 +84,28 @@ void expect_matches_oracle(const Rings& rings) {
   EXPECT_EQ(dump(merged), dump(expected));
 }
 
+// Rings grow on demand, so at(i) == snapshot()[i] (oldest first) is
+// checked while the ring fills, exactly at full and after several wraps.
 TEST(RingRecorder, AtMatchesSnapshot) {
-  for (const std::size_t n : {0u, 3u, 5u, 7u, 12u}) {
-    RingRecorder ring(5);
-    for (std::size_t i = 0; i < n; ++i) ring.record(rec(double(i), 0, 0, i));
-    const auto snap = ring.snapshot();
-    ASSERT_EQ(ring.size(), snap.size()) << "n=" << n;
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      EXPECT_EQ(ring.at(i), snap[i]) << "n=" << n << " i=" << i;
+  for (const std::size_t capacity : {1u, 3u, 5u, 4096u}) {
+    for (const std::size_t n : {std::size_t{0}, capacity - 1, capacity,
+                                capacity + 2, 3 * capacity + 2}) {
+      RingRecorder ring(capacity);
+      for (std::size_t i = 0; i < n; ++i) {
+        ring.record(rec(double(i), 0, 0, static_cast<std::uint32_t>(i)));
+      }
+      SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                   " n=" + std::to_string(n));
+      const std::size_t live = std::min(n, capacity);
+      const auto snap = ring.snapshot();
+      ASSERT_EQ(ring.size(), live);
+      ASSERT_EQ(snap.size(), live);
+      EXPECT_EQ(ring.dropped(), n - live);
+      for (std::size_t i = 0; i < live; ++i) {
+        ASSERT_EQ(ring.at(i), snap[i]) << "i=" << i;
+        // The survivors are the last `live` records, in order.
+        ASSERT_EQ(snap[i].attempt, n - live + i) << "i=" << i;
+      }
     }
   }
 }
@@ -168,6 +184,30 @@ TEST(MergeTraces, RandomizedMatchesStableSort) {
       const std::size_t ring = rng() % ring_count;
       rings.add(ring, times[rng() % std::size(times)], rng() % 6);
     }
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_matches_oracle(rings);
+  }
+  // Fleet-shaped: 16 rings of mixed capacity, the small ones wrapped,
+  // whose survivors span at least three of the merge's copy blocks.
+  for (std::uint32_t seed = 9; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::size_t> capacities(16);
+    for (std::size_t r = 0; r < capacities.size(); ++r) {
+      capacities[r] = r % 2 == 0 ? 500 + rng() % 500 : 2000 + rng() % 1000;
+    }
+    Rings rings(capacities);
+    const double times[] = {-0.0, 0.0, 0.125, 1.0, 1.5, 2.0, 1e9};
+    for (std::size_t i = 0; i < 16 * 1500; ++i) {
+      rings.add(rng() % 16, times[rng() % std::size(times)], rng() % 64);
+    }
+    std::size_t survivors = 0;
+    std::uint64_t dropped = 0;
+    for (const RingRecorder* ring : rings.views()) {
+      survivors += ring->size();
+      dropped += ring->dropped();
+    }
+    ASSERT_GT(survivors, 3 * kExportBlockRecords);
+    ASSERT_GT(dropped, 0u);
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_matches_oracle(rings);
   }

@@ -2,11 +2,16 @@
 // golden-line format the schema in docs/OBSERVABILITY.md pins down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ios>
 #include <limits>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ratt/obs/metrics.hpp"
 #include "ratt/obs/trace.hpp"
 
 namespace ratt::obs {
@@ -44,6 +49,37 @@ TEST(RingRecorder, OverwritesOldestWhenFull) {
   EXPECT_DOUBLE_EQ(snap[2].sim_time_ms, 4.0);
   EXPECT_EQ(ring.total_recorded(), 5u);
   EXPECT_EQ(ring.dropped(), 2u);
+}
+
+// Rings grow on demand: capacity() is the requested bound, not what is
+// held, and size() counts only what was recorded.
+TEST(RingRecorder, CapacityIsTheRequestedBound) {
+  for (const std::size_t capacity : {1u, 3u, 4096u, 1u << 16}) {
+    RingRecorder ring(capacity);
+    EXPECT_EQ(ring.capacity(), capacity);
+    EXPECT_EQ(ring.size(), 0u);
+    ring.record(rec(1.0, 0, "e", "ok"));
+    EXPECT_EQ(ring.capacity(), capacity);
+    EXPECT_EQ(ring.size(), 1u);
+  }
+  EXPECT_EQ(RingRecorder(0).capacity(), 1u);
+}
+
+TEST(RingRecorder, DroppedCounterTalliesEvictions) {
+  Registry registry;
+  Counter& dropped = registry.counter("obs.trace.dropped");
+  std::uint64_t evicted = 0;
+  for (const std::size_t capacity : {1u, 3u, 4096u}) {
+    for (const std::size_t n : {capacity, capacity + 1, 3 * capacity + 2}) {
+      RingRecorder ring(capacity);
+      ring.set_dropped_counter(&dropped);
+      for (std::size_t i = 0; i < n; ++i) ring.record(rec(1.0, 0, "e", "ok"));
+      evicted += n - capacity;
+      EXPECT_EQ(ring.dropped(), n - capacity);
+      EXPECT_EQ(dropped.count(), evicted)
+          << "capacity=" << capacity << " n=" << n;
+    }
+  }
 }
 
 TEST(TeeSink, ForwardsToBoth) {
@@ -98,8 +134,9 @@ TEST(JsonlExport, OneLinePerRecord) {
   EXPECT_NE(text.find("\"outcome\":\"not-fresh\""), std::string::npos);
 }
 
-// write_jsonl buffers lines and reuses each double field's last text;
-// whatever it streams must equal the line-at-a-time reference.
+// write_jsonl formats blocks on the pool and, within a block, reuses each
+// double field's last text; whatever it streams must equal the
+// line-at-a-time reference.
 std::string jsonl_reference(const std::vector<TraceRecord>& records) {
   std::string out;
   for (const auto& r : records) out += to_jsonl(r) + "\n";
@@ -172,6 +209,120 @@ TEST(JsonlWriter, HostileLabelsEscapedInStream) {
       EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
     }
   }
+}
+
+constexpr char kCsvHeader[] =
+    "sim_time_ms,device_id,kind,outcome,prover_ms,verifier_ms,bytes,"
+    "energy_mj,power_mw,round_id,attempt\n";
+
+// `n` records whose doubles repeat across block boundaries and change
+// right after them (and at them), with labels that need JSON escaping
+// and CSV quoting.
+std::vector<TraceRecord> block_edge_records(std::size_t n) {
+  const double times[] = {-0.0, 0.0, 0.1, 1e9,
+                          std::numeric_limits<double>::denorm_min(), 2.25};
+  const char* kinds[] = {"prover.handle", "q\"uote", "ctl\x01\n", "k,ind"};
+  std::vector<TraceRecord> records;
+  records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Runs of five: the run holding record 4095 also holds 4096..4099.
+    TraceRecord r = rec(times[(i / 5) % std::size(times)], i % 13,
+                        kinds[i % std::size(kinds)],
+                        i % 3 == 0 ? "back\\slash" : "ok");
+    // Constant within a block, new at each block's first record.
+    r.prover_ms = 0.5 * static_cast<double>(i / kExportBlockRecords);
+    r.verifier_ms = i % kExportBlockRecords < 2 ? 7.0 : 0.125;
+    r.energy_mj = static_cast<double>(i % 3);
+    r.bytes = i;
+    r.round_id = 0x9e3779b97f4a7c15ULL * i;
+    records.push_back(r);
+  }
+  return records;
+}
+
+const std::size_t kBlockEdgeSizes[] = {0,
+                                       1,
+                                       kExportBlockRecords - 1,
+                                       kExportBlockRecords,
+                                       kExportBlockRecords + 1,
+                                       3 * kExportBlockRecords + 17};
+
+TEST(JsonlWriter, PooledBlocksMatchLineOracle) {
+  for (const std::size_t n : kBlockEdgeSizes) {
+    const std::vector<TraceRecord> records = block_edge_records(n);
+    EXPECT_EQ(write_jsonl_text(records), jsonl_reference(records))
+        << "n=" << n;
+  }
+}
+
+// The CSV oracle: the header, then every record exported on its own.
+TEST(CsvWriter, PooledBlocksMatchRowOracle) {
+  for (const std::size_t n : kBlockEdgeSizes) {
+    const std::vector<TraceRecord> records = block_edge_records(n);
+    std::string expected = kCsvHeader;
+    std::ostringstream one;
+    for (const TraceRecord& r : records) {
+      one.str({});
+      write_csv(one, std::vector<TraceRecord>{r});
+      expected += one.str().substr(sizeof(kCsvHeader) - 1);
+    }
+    std::ostringstream out;
+    write_csv(out, records);
+    EXPECT_EQ(out.str(), expected) << "n=" << n;
+  }
+}
+
+// Accepts `limit` bytes, then refuses every write.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::size_t limit) : limit_(limit) {}
+  std::size_t accepted() const { return accepted_; }
+
+ protected:
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    const std::size_t take =
+        std::min(static_cast<std::size_t>(n), limit_ - accepted_);
+    accepted_ += take;
+    return static_cast<std::streamsize>(take);
+  }
+  int_type overflow(int_type c) override {
+    if (accepted_ == limit_) return traits_type::eof();
+    ++accepted_;
+    return c;
+  }
+
+ private:
+  std::size_t limit_;
+  std::size_t accepted_ = 0;
+};
+
+// A stream that throws mid-export: the writer must release the workers
+// (some of them blocked on its window), join them and rethrow — no hang,
+// no std::terminate.
+TEST(JsonlWriter, StreamFailureThrowsAfterJoiningWorkers) {
+  // More blocks than the window holds on up to 16 hardware threads.
+  const std::size_t hw = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, 16);
+  const std::vector<TraceRecord> records(
+      (2 * hw + 3) * kExportBlockRecords, rec(1.0, 2, "prover.handle", "ok"));
+  const std::size_t block_bytes =
+      (to_jsonl(records[0]).size() + 1) * kExportBlockRecords;
+  for (const std::size_t limit :
+       {std::size_t{0}, std::size_t{1000}, 2 * block_bytes + block_bytes / 2,
+        (2 * hw + 2) * block_bytes}) {
+    FailingBuf buf(limit);
+    std::ostream out(&buf);
+    out.exceptions(std::ios::badbit);
+    EXPECT_THROW(write_jsonl(out, records), std::ios_base::failure)
+        << "limit=" << limit;
+    EXPECT_EQ(buf.accepted(), limit);
+  }
+  // The same failure on the CSV writer, which shares the block writer:
+  // its rows are over 30 bytes, so this fails inside the second block.
+  FailingBuf buf(40 * kExportBlockRecords);
+  std::ostream out(&buf);
+  out.exceptions(std::ios::badbit);
+  EXPECT_THROW(write_csv(out, records), std::ios_base::failure);
 }
 
 TEST(CsvExport, HeaderPlusRows) {
