@@ -10,27 +10,23 @@
 //
 // Two modes:
 //   (no args)       the original X2 sweep table, 1..16 devices, serial.
-//   --devices=N [--threads=N] [--shards=N] [--trace=path]
+//   --devices=N [--threads=N] [--trace=path]
 //                   fleet-scale run on the sharded Swarm. Everything on
 //                   stdout (and the --trace JSONL) is byte-identical for
 //                   the same seed at ANY --threads value; wall-clock
-//                   timing goes to stderr. The shard count defaults to
-//                   min(devices, 16) and is deliberately independent of
-//                   --threads, so the shard plan — and with it the trace
-//                   ring contents — never varies with parallelism.
+//                   timing goes to stderr. The shard count is
+//                   min(devices, 16), independent of --threads, so the
+//                   shard plan — and with it the trace ring contents —
+//                   never varies with parallelism.
 //   --link=PROFILE  (with the fleet-scale flags) swaps the replay flood
 //                   for a net::FaultyLink on every channel + reliable
 //                   rounds: the printed MACs/round is the fleet-wide DoS
 //                   amplification the lossy wire extracts via verifier
 //                   retransmissions (each retry is a fresh request the
 //                   prover fully serves).
-//   --fleet         periodic-attestation throughput bench on the lazy
-//                   scheduling + lazy-materialization stack (no
-//                   adversary): every device attests every --period=MS
-//                   over --horizon=MS.
-//                   --check-against=BENCH_fleet.json re-runs the pinned
-//                   configuration and fails on any deterministic-field
-//                   mismatch or a >60% requests/s regression.
+//
+// Fleet throughput is measured end to end by benchmark/run.sh (whole
+// process, medians over repeated runs), not here.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -91,7 +87,7 @@ FleetRow run_fleet(std::size_t device_count, bool hardened) {
       swarm.channel(i).inject_to_prover(recorded, 10.0 + 45.0 * k);
     }
   }
-  const sim::SwarmReport report = swarm.run(1000.0);
+  const sim::SwarmReport report = swarm.run_parallel(1000.0, 1);
 
   FleetRow row{};
   row.devices = device_count;
@@ -164,24 +160,8 @@ std::uint64_t fnv1a(const std::string& s) {
 struct FleetScaleOptions {
   std::size_t devices = 1024;
   std::size_t threads = 1;
-  std::size_t shards = 0;  // 0 = min(devices, 16)
   std::string trace_path;
   std::string link;  // faulty-link profile; enables reliable rounds
-  std::string json_path;  // machine-readable summary (incl. wall-clock)
-  // --fleet mode (periodic attestation, no adversary):
-  bool fleet = false;
-  std::size_t measured = 64;   // bytes measured per round
-  double period_ms = 125.0;    // attestation period
-  double horizon_ms = 1000.0;  // simulated horizon
-  bool no_share = false;       // per-device boot images (no template)
-  bool no_trace = false;       // registry-only observability (1M smoke)
-  bool incremental = false;    // incremental paged attestation rounds
-  std::string check_path;      // --check-against=BENCH_fleet.json
-  // Perf floor as a multiple of the baseline's requests/s. The default
-  // 0.4 is the anti-flake regression floor for same-generation
-  // baselines; CI passes 1.5 against the previous generation's file to
-  // pin the batching speedup itself.
-  double min_speedup = 0.4;
 };
 
 int run_fleet_scale(const FleetScaleOptions& opt) {
@@ -191,10 +171,8 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
   config.prover.authenticate_requests = true;
   config.prover.measured_bytes = 16 * 1024;
   config.attest_period_ms = 250.0;
-  config.prover.enable_incremental = opt.incremental;
   config.stagger_ms = 0.5;  // keep every device active inside the horizon
-  config.shard_count =
-      opt.shards != 0 ? opt.shards : std::min<std::size_t>(opt.devices, 16);
+  config.shard_count = std::min<std::size_t>(opt.devices, 16);
   if (!opt.link.empty()) {
     // --link=PROFILE: the whole fleet runs reliable rounds over this
     // faulty link; the replay flood is replaced by the link's own
@@ -315,291 +293,6 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
   std::printf("trace jsonl fnv:  %016llx\n",
               static_cast<unsigned long long>(fnv1a(jsonl_text)));
   std::fprintf(stderr, "threads=%zu wall_ms=%.1f\n", opt.threads, wall_ms);
-
-  if (!opt.json_path.empty()) {
-    // Machine-readable summary. Wall-clock and thread count live here
-    // (and on stderr) only — stdout stays byte-identical across runs.
-    std::ofstream json(opt.json_path, std::ios::binary);
-    if (!json) {
-      std::fprintf(stderr, "cannot open json file: %s\n",
-                   opt.json_path.c_str());
-      return 2;
-    }
-    char fnv_hex[17];
-    std::snprintf(fnv_hex, sizeof fnv_hex, "%016llx",
-                  static_cast<unsigned long long>(fnv1a(jsonl_text)));
-    json << "{\n"
-         << "  \"bench\": \"bench_swarm_dos\",\n"
-         << "  \"devices\": " << opt.devices << ",\n"
-         << "  \"shards\": " << swarm.shard_count() << ",\n"
-         << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"genuine_valid\": " << report.total_valid() << ",\n"
-         << "  \"genuine_sent\": " << report.total_sent() << ",\n"
-         << "  \"replays_rejected\": "
-         << static_cast<std::uint64_t>(
-                counter_value(registry, "prover.outcome.not-fresh") +
-                counter_value(registry, "prover.outcome.bad-request-mac"))
-         << ",\n"
-         << "  \"trace_records\": " << merged.size() << ",\n"
-         << "  \"trace_jsonl_fnv\": \"" << fnv_hex << "\",\n"
-         << "  \"requests_per_sec\": "
-         << (wall_ms > 0.0 ? 1000.0 *
-                                 static_cast<double>(report.total_sent()) /
-                                 wall_ms
-                           : 0.0)
-         << ",\n"
-         << "  \"wall_ms\": " << wall_ms << "\n"
-         << "}\n";
-  }
-  return 0;
-}
-
-/// "key": value lookup in a flat JSON object (the string-search idiom
-/// bench_profile uses for its baseline — no JSON library in the image).
-bool find_json_number(const std::string& text, const char* key,
-                      double* out) {
-  const std::size_t at = text.find("\"" + std::string(key) + "\":");
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + std::strlen(key) + 3, nullptr);
-  return true;
-}
-
-bool find_json_string(const std::string& text, const char* key,
-                      std::string* out) {
-  const std::size_t at = text.find("\"" + std::string(key) + "\": \"");
-  if (at == std::string::npos) return false;
-  const std::size_t begin = at + std::strlen(key) + 5;
-  const std::size_t end = text.find('"', begin);
-  if (end == std::string::npos) return false;
-  *out = text.substr(begin, end - begin);
-  return true;
-}
-
-struct FleetResult {
-  std::uint64_t rounds_valid = 0;
-  std::uint64_t rounds_sent = 0;
-  std::uint64_t events_run = 0;
-  std::size_t materialized = 0;
-  std::size_t trace_records = 0;
-  std::string trace_fnv;
-  double requests_per_sec = 0.0;
-  double wall_ms = 0.0;
-};
-
-/// Gate a --fleet run against a pinned BENCH_fleet.json: deterministic
-/// fields must match exactly; requests/s may not fall below 40% of the
-/// recorded machine's rate (generous, so a loaded CI runner does not
-/// flake, while a throughput collapse of more than 2.5x still trips
-/// it).
-int check_fleet_against(const FleetScaleOptions& opt,
-                        const FleetResult& result) {
-  std::ifstream in(opt.check_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open baseline: %s\n",
-                 opt.check_path.c_str());
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  int failures = 0;
-  const auto expect_u64 = [&](const char* key, std::uint64_t now) {
-    double base = 0.0;
-    if (!find_json_number(text, key, &base)) {
-      std::fprintf(stderr, "baseline is missing \"%s\"\n", key);
-      ++failures;
-      return;
-    }
-    if (static_cast<std::uint64_t>(base) != now) {
-      std::fprintf(stderr,
-                   "FLEET MISMATCH: %s baseline %llu vs now %llu\n", key,
-                   static_cast<unsigned long long>(base),
-                   static_cast<unsigned long long>(now));
-      ++failures;
-    }
-  };
-  expect_u64("devices", opt.devices);
-  expect_u64("measured_bytes", opt.measured);
-  expect_u64("rounds_sent", result.rounds_sent);
-  expect_u64("rounds_valid", result.rounds_valid);
-  expect_u64("events_run", result.events_run);
-  expect_u64("materialized", result.materialized);
-  if (!opt.no_trace) {
-    expect_u64("trace_records", result.trace_records);
-    std::string base_fnv;
-    if (!find_json_string(text, "trace_jsonl_fnv", &base_fnv)) {
-      std::fprintf(stderr, "baseline is missing \"trace_jsonl_fnv\"\n");
-      ++failures;
-    } else if (base_fnv != result.trace_fnv) {
-      std::fprintf(stderr, "FLEET MISMATCH: trace_jsonl_fnv %s vs %s\n",
-                   base_fnv.c_str(), result.trace_fnv.c_str());
-      ++failures;
-    }
-  }
-  double base_rps = 0.0;
-  if (!find_json_number(text, "requests_per_sec", &base_rps)) {
-    std::fprintf(stderr, "baseline is missing \"requests_per_sec\"\n");
-    ++failures;
-  } else if (result.requests_per_sec < opt.min_speedup * base_rps) {
-    std::fprintf(stderr,
-                 "FLEET PERF REGRESSION: %.0f requests/s vs baseline "
-                 "%.0f (floor %.0f%%)\n",
-                 result.requests_per_sec, base_rps, opt.min_speedup * 100.0);
-    ++failures;
-  } else {
-    std::fprintf(stderr,
-                 "perf gate ok: %.0f requests/s vs baseline %.0f "
-                 "(floor %.0f%%)\n",
-                 result.requests_per_sec, base_rps, opt.min_speedup * 100.0);
-  }
-  if (failures == 0) {
-    std::fprintf(stderr, "fleet gate ok (vs %s)\n", opt.check_path.c_str());
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int run_fleet_periodic(const FleetScaleOptions& opt) {
-  sim::SwarmConfig config;
-  config.device_count = opt.devices;
-  config.prover.scheme = attest::FreshnessScheme::kCounter;
-  config.prover.authenticate_requests = true;
-  config.prover.measured_bytes = opt.measured;
-  config.attest_period_ms = opt.period_ms;
-  config.prover.enable_incremental = opt.incremental;
-  config.shard_count =
-      opt.shards != 0 ? opt.shards : std::min<std::size_t>(opt.devices, 16);
-  config.share_app_image = !opt.no_share;
-
-  sim::Swarm swarm(config, crypto::from_string("fleet-bench-seed"));
-  obs::Registry registry;
-  if (opt.no_trace) {
-    swarm.attach_observer(&registry, nullptr);
-  } else {
-    swarm.attach_sharded_observer(&registry);
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  const sim::SwarmReport report =
-      swarm.run_parallel(opt.horizon_ms, opt.threads);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-
-  FleetResult result;
-  result.rounds_valid = report.total_valid();
-  result.rounds_sent = report.total_sent();
-  const obs::Counter* events_run = registry.find_counter("queue.events_run");
-  result.events_run = events_run == nullptr ? 0 : events_run->count();
-  result.materialized = swarm.materialized_count();
-  result.wall_ms = wall_ms;
-  result.requests_per_sec =
-      wall_ms > 0.0
-          ? 1000.0 * static_cast<double>(result.rounds_sent) / wall_ms
-          : 0.0;
-
-  std::string jsonl_text;
-  if (!opt.no_trace) {
-    const std::vector<obs::TraceRecord> merged = swarm.merged_trace();
-    std::ostringstream jsonl;
-    obs::write_jsonl(jsonl, merged);
-    jsonl_text = jsonl.str();
-    result.trace_records = merged.size();
-    char fnv_hex[17];
-    std::snprintf(fnv_hex, sizeof fnv_hex, "%016llx",
-                  static_cast<unsigned long long>(fnv1a(jsonl_text)));
-    result.trace_fnv = fnv_hex;
-    if (!opt.trace_path.empty()) {
-      std::ofstream out(opt.trace_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot open trace file: %s\n",
-                     opt.trace_path.c_str());
-        return 2;
-      }
-      out << jsonl_text;
-    }
-  }
-
-  // Deterministic surface (byte-identical for the same seed at any
-  // --threads): wall clock goes to stderr.
-  std::printf("=== fleet periodic attestation ===\n");
-  std::printf("devices:          %zu\n", opt.devices);
-  std::printf("shards:           %zu\n", swarm.shard_count());
-  std::printf("shared image:     %s\n", opt.no_share ? "no" : "yes");
-  std::printf("incremental:      %s\n", opt.incremental ? "yes" : "no");
-  std::printf("measured bytes:   %zu\n", opt.measured);
-  std::printf("period_ms:        %g\n", opt.period_ms);
-  std::printf("horizon_ms:       %g\n", opt.horizon_ms);
-  std::printf("rounds sent:      %llu\n",
-              static_cast<unsigned long long>(result.rounds_sent));
-  std::printf("rounds valid:     %llu\n",
-              static_cast<unsigned long long>(result.rounds_valid));
-  std::printf("events run:       %llu\n",
-              static_cast<unsigned long long>(result.events_run));
-  std::printf("materialized:     %zu\n", result.materialized);
-  std::printf("events leftover:  %zu\n", report.events_leftover);
-  if (!opt.no_trace) {
-    std::printf("trace records:    %zu\n", result.trace_records);
-    std::printf("trace jsonl fnv:  %s\n", result.trace_fnv.c_str());
-  }
-  // Footprint report (stderr — resident bytes depend on malloc behavior
-  // no more than page/slab math, but they are not part of the pinned
-  // deterministic stdout surface).
-  const sim::Swarm::ResidentReport resident = swarm.resident();
-  std::fprintf(stderr,
-               "resident: devices=%zu arena_bytes=%zu bus_bytes=%zu "
-               "table_bytes=%zu shared_bytes=%zu per_device_bytes=%.1f\n",
-               resident.devices, resident.arena_bytes, resident.bus_bytes,
-               resident.table_bytes, resident.shared_bytes,
-               resident.per_device_bytes());
-  std::fprintf(stderr, "threads=%zu wall_ms=%.1f requests_per_sec=%.0f\n",
-               opt.threads, wall_ms, result.requests_per_sec);
-  if (report.events_leftover != 0) {
-    std::fprintf(stderr, "FLEET ERROR: %zu events stranded\n",
-                 report.events_leftover);
-    return 1;
-  }
-  if (result.rounds_valid != result.rounds_sent) {
-    std::fprintf(stderr, "FLEET ERROR: %llu of %llu rounds invalid\n",
-                 static_cast<unsigned long long>(result.rounds_sent -
-                                                 result.rounds_valid),
-                 static_cast<unsigned long long>(result.rounds_sent));
-    return 1;
-  }
-
-  if (!opt.json_path.empty()) {
-    std::ofstream json(opt.json_path, std::ios::binary);
-    if (!json) {
-      std::fprintf(stderr, "cannot open json file: %s\n",
-                   opt.json_path.c_str());
-      return 2;
-    }
-    json << "{\n"
-         << "  \"bench\": \"bench_swarm_dos --fleet\",\n"
-         << "  \"devices\": " << opt.devices << ",\n"
-         << "  \"shards\": " << swarm.shard_count() << ",\n"
-         << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"share_image\": " << (opt.no_share ? "false" : "true")
-         << ",\n"
-         << "  \"resident_bytes_per_device\": " << resident.per_device_bytes()
-         << ",\n"
-         << "  \"measured_bytes\": " << opt.measured << ",\n"
-         << "  \"period_ms\": " << opt.period_ms << ",\n"
-         << "  \"horizon_ms\": " << opt.horizon_ms << ",\n"
-         << "  \"rounds_sent\": " << result.rounds_sent << ",\n"
-         << "  \"rounds_valid\": " << result.rounds_valid << ",\n"
-         << "  \"events_run\": " << result.events_run << ",\n"
-         << "  \"materialized\": " << result.materialized << ",\n"
-         << "  \"trace_records\": " << result.trace_records << ",\n"
-         << "  \"trace_jsonl_fnv\": \"" << result.trace_fnv << "\",\n"
-         << "  \"requests_per_sec\": " << result.requests_per_sec << ",\n"
-         << "  \"wall_ms\": " << wall_ms << "\n"
-         << "}\n";
-  }
-  if (!opt.check_path.empty()) {
-    return check_fleet_against(opt, result);
-  }
   return 0;
 }
 
@@ -607,13 +300,6 @@ bool parse_size(const char* arg, const char* prefix, std::size_t* out) {
   const std::size_t len = std::strlen(prefix);
   if (std::strncmp(arg, prefix, len) != 0) return false;
   *out = static_cast<std::size_t>(std::strtoull(arg + len, nullptr, 10));
-  return true;
-}
-
-bool parse_double(const char* arg, const char* prefix, double* out) {
-  const std::size_t len = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, len) != 0) return false;
-  *out = std::strtod(arg + len, nullptr);
   return true;
 }
 
@@ -627,40 +313,8 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (parse_size(arg, "--devices=", &opt.devices)) continue;
     if (parse_size(arg, "--threads=", &opt.threads)) continue;
-    if (parse_size(arg, "--shards=", &opt.shards)) continue;
-    if (parse_size(arg, "--measured=", &opt.measured)) continue;
-    if (parse_double(arg, "--period=", &opt.period_ms)) continue;
-    if (parse_double(arg, "--horizon=", &opt.horizon_ms)) continue;
-    if (std::strcmp(arg, "--fleet") == 0) {
-      opt.fleet = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--incremental") == 0) {
-      opt.incremental = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--no-share-image") == 0) {
-      opt.no_share = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--no-trace") == 0) {
-      opt.no_trace = true;
-      continue;
-    }
-    if (std::strncmp(arg, "--check-against=", 16) == 0) {
-      opt.check_path = arg + 16;
-      continue;
-    }
-    if (std::strncmp(arg, "--min-speedup=", 14) == 0) {
-      opt.min_speedup = std::atof(arg + 14);
-      continue;
-    }
     if (std::strncmp(arg, "--trace=", 8) == 0) {
       opt.trace_path = arg + 8;
-      continue;
-    }
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      opt.json_path = arg + 7;
       continue;
     }
     if (std::strncmp(arg, "--link=", 7) == 0) {
@@ -672,12 +326,8 @@ int main(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr,
-                 "usage: %s [--devices=N] [--threads=N] [--shards=N] "
-                 "[--trace=path] [--json=path] [--incremental] "
-                 "[--link=clean|lossy10|bursty|hostile] | "
-                 "--fleet [--measured=N] [--period=MS] [--horizon=MS] "
-                 "[--no-share-image] [--no-trace] "
-                 "[--check-against=BENCH_fleet.json] [--min-speedup=X]\n",
+                 "usage: %s [--devices=N] [--threads=N] [--trace=path] "
+                 "[--link=clean|lossy10|bursty|hostile]\n",
                  argv[0]);
     return 2;
   }
@@ -685,12 +335,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--devices and --threads must be nonzero\n");
     return 2;
   }
-  if (opt.incremental && !opt.link.empty()) {
-    // Incremental sessions and the reliable retransmitter are mutually
-    // exclusive (session.cpp enforces it); fail before the Swarm throws.
-    std::fprintf(stderr, "--incremental cannot combine with --link\n");
-    return 2;
-  }
-  if (opt.fleet) return run_fleet_periodic(opt);
   return run_fleet_scale(opt);
 }

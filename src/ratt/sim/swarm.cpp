@@ -440,10 +440,6 @@ Swarm::ResidentReport Swarm::resident() const {
   return r;
 }
 
-SwarmReport Swarm::run(double horizon_ms) {
-  return run_parallel(horizon_ms, 1);
-}
-
 SwarmReport Swarm::run_parallel(double horizon_ms, std::size_t threads) {
   schedule(horizon_ms);
   (void)drain(threads);

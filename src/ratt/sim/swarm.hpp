@@ -240,23 +240,21 @@ class Swarm {
 
   /// Shard s's trace ring (nullptr unless attach_sharded_observer) — for
   /// flight-recorder style taps that need per-shard drop accounting.
+  /// Throws std::out_of_range unless s < shard_count().
   const obs::RingRecorder* shard_ring(std::size_t s) const {
-    return shards_[s]->ring.get();
+    return shards_.at(s)->ring.get();
   }
 
-  /// Schedule periodic attestation for every device and drain every
-  /// shard on the calling thread.
-  SwarmReport run(double horizon_ms);
-
-  /// Schedule and drain the shards on `threads` workers (clamped to the
-  /// shard count; 1 runs on the calling thread). The merged report and
-  /// trace are byte-identical at any thread count for the same seed.
+  /// Schedule periodic attestation for every device and drain the shards
+  /// on `threads` workers (clamped to the shard count; 1 runs on the
+  /// calling thread). The merged report and trace are byte-identical at
+  /// any thread count for the same seed.
   SwarmReport run_parallel(double horizon_ms, std::size_t threads);
 
   // Stepped execution — the dashboard/analytics path. schedule() plants
-  // the same periodic rounds run() would (one self-rescheduling chain
-  // per device, capped at the horizon; calling schedule() again with a
-  // larger horizon extends the cap and plants a second chain),
+  // the same periodic rounds run_parallel() would (one self-rescheduling
+  // chain per device, capped at the horizon; calling schedule() again
+  // with a larger horizon extends the cap and plants a second chain),
   // run_until() advances every shard one slice at a time (so a caller
   // can read rollups, quantiles and alerts between slices), and report()
   // snapshots current state.

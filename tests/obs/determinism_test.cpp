@@ -28,7 +28,7 @@ RunResult run_observed_fleet(const char* seed) {
   obs::Registry registry;
   obs::RingRecorder ring(1024);
   swarm.attach_observer(&registry, &ring);
-  (void)swarm.run(500.0);
+  (void)swarm.run_parallel(500.0, 1);
 
   std::ostringstream out;
   const auto records = ring.snapshot();
@@ -64,7 +64,7 @@ TEST(Determinism, TraceCoversProverAndVerifierSides) {
   obs::Registry registry;
   obs::RingRecorder ring(1024);
   swarm.attach_observer(&registry, &ring);
-  const SwarmReport report = swarm.run(400.0);
+  const SwarmReport report = swarm.run_parallel(400.0, 1);
 
   std::uint64_t prover_spans = 0;
   std::uint64_t verifier_spans = 0;

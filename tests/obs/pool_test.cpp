@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -38,6 +39,16 @@ TEST(ObsPool, BodyExceptionReachesTheCaller) {
                               [&](std::size_t i) {
                                 ++ran;
                                 if (i == 3) throw std::runtime_error("body");
+                                // Tickets after the failing one take long
+                                // enough that the other workers cannot
+                                // drain the rest before the hand-out
+                                // stops (with instant bodies they could,
+                                // legally, and the check below would
+                                // race).
+                                if (i > 3) {
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(1));
+                                }
                               }),
                  std::runtime_error);
     // No ticket is handed out after the failure, so at most the tickets

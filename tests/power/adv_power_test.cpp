@@ -170,7 +170,7 @@ TEST(PowerTamperDetection, EveryFleetRoundIsCaughtAndAlertsFire) {
   obs::Registry registry;
   swarm.attach_sharded_observer(&registry);
   swarm.attach_power();
-  (void)swarm.run(/*horizon_ms=*/1100.0);
+  (void)swarm.run_parallel(/*horizon_ms=*/1100.0, /*threads=*/1);
 
   power::PowerWitness witness;
   std::map<std::uint64_t, std::size_t> learned;

@@ -227,7 +227,7 @@ TEST(PowerMeter, SwarmReplaySegmentsMatchStraight) {
   sim::Swarm swarm(config, crypto::from_string("power-battery-seed"));
   Registry registry;
   swarm.attach_sharded_observer(&registry);
-  (void)swarm.run(/*horizon_ms=*/1000.0);
+  (void)swarm.run_parallel(/*horizon_ms=*/1000.0, /*threads=*/1);
   const std::vector<TraceRecord> merged = swarm.merged_trace();
   ASSERT_FALSE(merged.empty());
 

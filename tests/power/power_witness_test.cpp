@@ -221,7 +221,7 @@ TEST(CleanFleetSweep, ZeroFalsePositives) {
     Registry registry;
     swarm.attach_sharded_observer(&registry);
     swarm.attach_power();
-    (void)swarm.run(/*horizon_ms=*/900.0);
+    (void)swarm.run_parallel(/*horizon_ms=*/900.0, /*threads=*/1);
 
     PowerWitness witness;
     std::map<std::uint64_t, std::size_t> learned;

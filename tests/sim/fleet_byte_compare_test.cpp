@@ -1,9 +1,13 @@
-// Fleet byte-compares (ctest -L fleet): bench_swarm_dos's own fleets —
-// seed "fleet-bench-seed", 16 shards — run twice under two plans that
-// must be invisible, and every deterministic surface of the bench is
-// compared: the full SwarmReport, the merged trace JSONL, the
-// queue.events_run counter, the materialized device count and the
-// replay-reject counters.
+// Fleet byte-compares (ctest -L fleet): two pinned fleets — seed
+// "fleet-bench-seed", 16 shards — run twice under two plans that must be
+// invisible, and every deterministic surface is compared: the full
+// SwarmReport, the merged trace JSONL, the queue.events_run counter, the
+// materialized device count and the replay-reject counters. The fleets
+// are bench_swarm_dos's replay flood and the periodic fleet (64 B
+// measured every 125 ms, shared boot image) that benchmark/'s
+// periodic_traced workload runs over a longer horizon. Their reference
+// values (round and event counts, trace record counts and the FNV-1a of
+// the merged JSONL) are pinned here.
 //
 //   * replay flood, 256 devices, 1 vs 4 vs 8 threads;
 //   * periodic fleet, multi-buffer MAC batching vs scalar verifier MACs
@@ -34,6 +38,7 @@ constexpr std::size_t kShards = 16;
 struct FleetRun {
   SwarmReport report;
   std::string jsonl;
+  std::size_t trace_records = 0;
   std::uint64_t events_run = 0;
   std::size_t materialized = 0;
   std::uint64_t replays_rejected = 0;
@@ -44,10 +49,21 @@ double counter_value(const obs::Registry& registry, const char* name) {
   return c == nullptr ? 0.0 : c->value();
 }
 
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 void collect(const Swarm& swarm, const obs::Registry& registry,
              FleetRun* run) {
+  const std::vector<obs::TraceRecord> merged = swarm.merged_trace();
+  run->trace_records = merged.size();
   std::ostringstream out;
-  obs::write_jsonl(out, swarm.merged_trace());
+  obs::write_jsonl(out, merged);
   run->jsonl = out.str();
   const obs::Counter* events = registry.find_counter("queue.events_run");
   run->events_run = events == nullptr ? 0 : events->count();
@@ -62,6 +78,7 @@ void expect_identical(const FleetRun& a, const FleetRun& b) {
   EXPECT_EQ(a.events_run, b.events_run);
   EXPECT_EQ(a.materialized, b.materialized);
   EXPECT_EQ(a.replays_rejected, b.replays_rejected);
+  EXPECT_EQ(a.trace_records, b.trace_records);
   EXPECT_EQ(a.jsonl.size(), b.jsonl.size());
   if (a.jsonl != b.jsonl) {
     const auto diff = std::mismatch(a.jsonl.begin(), a.jsonl.end(),
@@ -109,8 +126,8 @@ FleetRun replay_flood(std::size_t devices, std::size_t threads,
   return run;
 }
 
-// bench_swarm_dos --fleet --devices=N --threads=T: shared boot image,
-// 64 B measured every 125 ms over a 1000 ms horizon, sharded tracing.
+// Periodic fleet: shared boot image, 64 B measured every 125 ms over a
+// 1000 ms horizon, sharded tracing (no adversary).
 struct PeriodicPlan {
   bool mac_batch = true;
   bool incremental = false;
@@ -156,6 +173,11 @@ TEST(FleetByteCompare, ReplayFloodIdenticalAt1And4And8Threads) {
   EXPECT_GE(t1.report.total_sent(), 256u * 4u);
   EXPECT_EQ(t1.report.events_leftover, 0u);
   EXPECT_FALSE(t1.jsonl.empty());
+  // The reference values `bench_swarm_dos --devices=256` prints.
+  EXPECT_EQ(t1.report.total_sent(), 1025u);
+  EXPECT_EQ(t1.report.total_valid(), 1025u);
+  EXPECT_EQ(t1.trace_records, 6658u);
+  EXPECT_EQ(fnv1a(t1.jsonl), 0xe2a4a4ca993b8eceull);
   {
     SCOPED_TRACE("4 threads");
     expect_identical(replay_flood(256, 4), t1);
@@ -203,9 +225,13 @@ TEST(FleetByteCompare, IncrementalFleetIdenticalAt1And4Threads) {
 TEST(FleetByteCompare, LazyChainsMatchEagerPlant4096Devices) {
   const FleetRun lazy = periodic_fleet(4096, 4);
   expect_clean_periodic(lazy, 4096);
-  // The pinned fleet of BENCH_fleet.json.
+  // The pinned reference fleet: round, event and trace-record counts and
+  // the FNV-1a of its merged trace JSONL.
   EXPECT_EQ(lazy.report.total_sent(), 28705u);
+  EXPECT_EQ(lazy.report.total_valid(), 28705u);
   EXPECT_EQ(lazy.events_run, 86115u);
+  EXPECT_EQ(lazy.trace_records, 57410u);
+  EXPECT_EQ(fnv1a(lazy.jsonl), 0x17fc79fe1bd70478ull);
   expect_identical(periodic_fleet(4096, 1, {.eager = true}), lazy);
 }
 

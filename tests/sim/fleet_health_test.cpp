@@ -227,7 +227,7 @@ TEST(FleetHealth, DetectsTamperedDeviceInLiveFleet) {
                            static_cast<std::uint8_t>(b ^ 0xff)),
             hw::BusStatus::kOk);
 
-  const SwarmReport report = swarm.run(500.0);
+  const SwarmReport report = swarm.run_parallel(500.0, 1);
   const auto verdicts = assess_fleet(report);
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_EQ(verdicts[0].health, DeviceHealth::kHealthy);

@@ -14,8 +14,8 @@ namespace ratt::sim::oracle {
 /// front, in device order (materializing each device first), then one
 /// serial drain — O(devices x rounds) pending events. Round times use
 /// the same multiplicative offset + k * period as the lazy chains, so
-/// lazy runs must match this byte for byte. Call it where run(horizon)
-/// would go, after any attach_*.
+/// lazy runs must match this byte for byte. Call it where
+/// run_parallel(horizon, 1) would go, after any attach_*.
 inline SwarmReport run_eager(Swarm& swarm, const SwarmConfig& config,
                              double horizon_ms) {
   for (std::size_t i = 0; i < swarm.size(); ++i) {

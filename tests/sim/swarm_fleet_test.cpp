@@ -51,7 +51,7 @@ TEST(SwarmFleet, StaggerWrapKeepsEveryDeviceOnSchedule) {
   // inside the first two periods.
   SwarmConfig config = fleet_config(40);
   Swarm swarm(config, crypto::from_string("fleet-seed"));
-  const SwarmReport report = swarm.run(500.0);
+  const SwarmReport report = swarm.run_parallel(500.0, 1);
   ASSERT_EQ(report.devices.size(), 40u);
   for (const auto& d : report.devices) {
     EXPECT_GE(d.stats.requests_sent, 3u) << "device " << d.device;
@@ -71,7 +71,7 @@ TEST(SwarmFleet, LazyScheduleMatchesEagerReference) {
   Swarm lazy_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry lazy_reg;
   lazy_swarm.attach_sharded_observer(&lazy_reg);
-  const SwarmReport lazy_report = lazy_swarm.run(1000.0);
+  const SwarmReport lazy_report = lazy_swarm.run_parallel(1000.0, 1);
 
   Swarm eager_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry eager_reg;
@@ -123,7 +123,7 @@ TEST(SwarmFleet, LazyMaterializationOnlyBuildsScheduledDevices) {
   SwarmConfig config = fleet_config(16);
   Swarm swarm(config, crypto::from_string("fleet-seed"));
   EXPECT_EQ(swarm.materialized_count(), 0u);
-  const SwarmReport report = swarm.run(150.0);
+  const SwarmReport report = swarm.run_parallel(150.0, 1);
 
   std::size_t expected_awake = 0;
   for (std::size_t i = 0; i < 16; ++i) {
@@ -159,8 +159,8 @@ TEST(SwarmFleet, SharedAppImageKeepsKeysAndReports) {
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(plain.device_key(i), templated.device_key(i)) << "device " << i;
   }
-  const SwarmReport plain_report = plain.run(600.0);
-  const SwarmReport shared_report = templated.run(600.0);
+  const SwarmReport plain_report = plain.run_parallel(600.0, 1);
+  const SwarmReport shared_report = templated.run_parallel(600.0, 1);
   EXPECT_EQ(plain_report, shared_report);
   EXPECT_GT(shared_report.total_valid(), 0u);
 }
@@ -175,7 +175,8 @@ TEST(SwarmFleet, TemplateBootedDeviceKeepsUnderOneKilobyteOfPrivatePages) {
   config.prover.measured_bytes = 64;
   config.share_app_image = true;
   Swarm swarm(config, crypto::from_string("fleet-seed"));
-  const SwarmReport report = swarm.run(150.0);  // round 1 fires at 100 ms
+  // Round 1 fires at 100 ms.
+  const SwarmReport report = swarm.run_parallel(150.0, 1);
   EXPECT_EQ(report.total_sent(), 1u);
   EXPECT_EQ(report.total_valid(), 1u);
   const Swarm::ResidentReport r = swarm.resident();
@@ -187,10 +188,14 @@ TEST(SwarmFleet, TemplateBootedDeviceKeepsUnderOneKilobyteOfPrivatePages) {
 
 TEST(SwarmFleet, DrainBudgetCoversLargeCleanFleet) {
   // A clean fleet whose scheduled work exceeds the legacy fixed 1M-event
-  // budget: the derived per-shard budget must drain it completely
-  // (events_leftover == 0) instead of stranding the horizon tail.
+  // budget on every shard: the derived per-shard budget must drain it
+  // completely (events_leftover == 0) instead of stranding the horizon
+  // tail. Two shards on two workers with the registry-only plan
+  // (attach_observer with no sink), so the sanitizer rows also watch
+  // that plan's parallel drain.
   SwarmConfig config;
   config.device_count = 20'000;
+  config.shard_count = 2;
   config.prover.scheme = FreshnessScheme::kCounter;
   config.prover.measured_bytes = 64;
   config.attest_period_ms = 10.0;
@@ -198,15 +203,15 @@ TEST(SwarmFleet, DrainBudgetCoversLargeCleanFleet) {
   Swarm swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry registry;
   swarm.attach_observer(&registry, nullptr);
-  const SwarmReport report = swarm.run(250.0);
+  const SwarmReport report = swarm.run_parallel(500.0, 2);
   EXPECT_EQ(report.events_leftover, 0u);
   EXPECT_EQ(report.total_valid(), report.total_sent());
-  EXPECT_GE(report.total_sent(), 20'000u * 24u);
-  // The point of the derived budget: this healthy run really does run
-  // more than the old 1'000'000-event flat allowance.
+  EXPECT_GE(report.total_sent(), 20'000u * 49u);
+  // The point of the derived budget: each shard's healthy run really
+  // does run more than the old 1'000'000-event flat allowance.
   const obs::Counter* events_run = registry.find_counter("queue.events_run");
   ASSERT_NE(events_run, nullptr);
-  EXPECT_GT(events_run->count(), 1'000'000u);
+  EXPECT_GT(events_run->count(), 2u * 1'000'000u);
 }
 
 TEST(SwarmFleet, LongHorizonSegmentedReplayMatchesStraightRun) {
@@ -226,7 +231,7 @@ TEST(SwarmFleet, LongHorizonSegmentedReplayMatchesStraightRun) {
   obs::Registry straight_reg;
   straight.attach_sharded_observer(&straight_reg, 1 << 18);
   straight.attach_power();
-  const SwarmReport straight_report = straight.run(horizon_ms);
+  const SwarmReport straight_report = straight.run_parallel(horizon_ms, 1);
 
   Swarm sliced(config, crypto::from_string("fleet-seed"));
   obs::Registry sliced_reg;
@@ -312,7 +317,7 @@ ObservedRun run_shared_sink(bool materialize_first) {
   obs::RingRecorder ring(1 << 14);
   swarm.attach_observer(&registry, &ring);
   ObservedRun run;
-  run.report = swarm.run(700.0);
+  run.report = swarm.run_parallel(700.0, 1);
   EXPECT_EQ(ring.dropped(), 0u);
   std::ostringstream trace;
   obs::write_jsonl(trace, ring.snapshot());
@@ -453,8 +458,9 @@ TEST(SwarmFleet, ThrowingComponentLeavesNoHalfBuiltDevice) {
 }
 
 TEST(SwarmFleet, OutOfRangeDeviceIndexThrows) {
-  // Every accessor taking a device index rejects index >= size() — the
-  // empty fleet included — and builds nothing on the way out.
+  // Every accessor taking a device index rejects index >= size(), and
+  // shard_ring rejects index >= shard_count() — the empty fleet included
+  // — and builds nothing on the way out.
   SwarmConfig lossy = sharded_fleet(8);
   lossy.link = net::lossy10_link();
   SwarmConfig empty = sharded_fleet(0);
@@ -472,6 +478,11 @@ TEST(SwarmFleet, OutOfRangeDeviceIndexThrows) {
       EXPECT_THROW(swarm.faulty_link(i), std::out_of_range);
       EXPECT_THROW((void)swarm.is_materialized(i), std::out_of_range);
     }
+    // Shard indices follow the same rule against shard_count().
+    EXPECT_THROW((void)swarm.shard_ring(swarm.shard_count()),
+                 std::out_of_range);
+    EXPECT_THROW((void)swarm.shard_ring(static_cast<std::size_t>(-1)),
+                 std::out_of_range);
     EXPECT_EQ(swarm.materialized_count(), 0u);
   }
 }

@@ -106,9 +106,9 @@ TEST(SwarmShard, ReportAndTraceIdenticalAtAnyShardCount) {
 TEST(SwarmShard, ParallelRunMatchesSerialLegacyRun) {
   // The pre-sharding API (shared registry + one shared sink via
   // attach_observer) still produces the same report when the fleet is
-  // driven through run() on one thread.
+  // driven through run_parallel() on one thread.
   Swarm legacy(fleet(6, 1), crypto::from_string("shard-seed"));
-  const SwarmReport serial = legacy.run(600.0);
+  const SwarmReport serial = legacy.run_parallel(600.0, 1);
   Swarm sharded(fleet(6, 3), crypto::from_string("shard-seed"));
   const SwarmReport parallel = sharded.run_parallel(600.0, 4);
   EXPECT_EQ(serial, parallel);

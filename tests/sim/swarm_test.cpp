@@ -20,7 +20,7 @@ SwarmConfig small_fleet() {
 
 TEST(Swarm, AllDevicesAttestOnSchedule) {
   Swarm swarm(small_fleet(), crypto::from_string("fleet-seed"));
-  const SwarmReport report = swarm.run(1000.0);
+  const SwarmReport report = swarm.run_parallel(1000.0, 1);
   ASSERT_EQ(report.devices.size(), 5u);
   for (const auto& d : report.devices) {
     // Stagger shifts later devices' schedules: device i's rounds land on
@@ -84,7 +84,7 @@ TEST(Swarm, FloodOnOneDeviceDoesNotAffectOthers) {
   for (int i = 0; i < 50; ++i) {
     swarm.channel(2).inject_to_prover(recorded, 10.0 + i);
   }
-  const SwarmReport report = swarm.run(1000.0);
+  const SwarmReport report = swarm.run_parallel(1000.0, 1);
   EXPECT_GE(report.devices[2].stats.prover_rejects, 50u);
   for (std::size_t i : {0u, 1u, 3u, 4u}) {
     EXPECT_EQ(report.devices[i].stats.responses_valid,
@@ -122,7 +122,7 @@ TEST(Swarm, UnprotectedFleetBleedsTime) {
                                           5.0 + 20.0 * k);
       }
     }
-    const SwarmReport report = swarm.run(500.0);
+    const SwarmReport report = swarm.run_parallel(500.0, 1);
     if (hardened) {
       // 50 forged requests x 0.432 ms MAC checks.
       EXPECT_LT(report.total_attest_ms(), 100.0);
