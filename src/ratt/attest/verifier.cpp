@@ -112,11 +112,10 @@ void Verifier::fill_pipeline() {
     ++pend_count_;
   }
 
-  crypto::MacBatch& mb = batch_->engine();
-  mb.set_key_all(key_);
-
   // Wave 1: request-authentication MACs over the 19-byte headers.
   if (config_.authenticate_requests) {
+    crypto::MacBatch& mb = batch_->engine();
+    mb.set_key_all(key_);
     std::uint8_t headers[VerifierBatch::kLanes][AttestRequest::kHeaderSize];
     crypto::MacBatch::LaneMsg msgs[VerifierBatch::kLanes];
     std::uint8_t tags[VerifierBatch::kLanes][crypto::MacBatch::kTagSize];
@@ -136,24 +135,40 @@ void Verifier::fill_pipeline() {
     }
   }
 
-  // Wave 2: expected response measurements over challenge || freshness
-  // || reference memory. Every lane streams the shared reference as its
+  batch_->note_fill(lanes);
+}
+
+void Verifier::fill_expected() const {
+  // Wave 2, deferred from fill_pipeline to the first check that needs a
+  // tag: the expected measurements over challenge || freshness ||
+  // reference memory for every drawn entry (issued or still pending)
+  // that has none yet. Every lane streams the shared reference as its
   // tail — no concatenated copies.
+  PipeEntry* lacking[VerifierBatch::kLanes];
+  std::size_t lanes = 0;
+  for (std::uint8_t i = 0; i < issued_count_; ++i) {
+    if (issued_[i].ref_src == nullptr) lacking[lanes++] = &issued_[i];
+  }
+  for (std::uint8_t k = 0; k < pend_count_; ++k) {
+    PipeEntry& e = pend_[(pend_head_ + k) & 7];
+    if (e.ref_src == nullptr) lacking[lanes++] = &e;
+  }
   const Bytes* ref = reference_memory_.get();
   std::uint8_t heads[VerifierBatch::kLanes][16];
   crypto::MacBatch::LaneMsg msgs[VerifierBatch::kLanes];
   std::uint8_t tags[VerifierBatch::kLanes][crypto::MacBatch::kTagSize];
   for (std::size_t k = 0; k < lanes; ++k) {
-    crypto::store_le64(heads[k], fresh[k]->challenge);
-    crypto::store_le64(heads[k] + 8, fresh[k]->freshness);
+    crypto::store_le64(heads[k], lacking[k]->challenge);
+    crypto::store_le64(heads[k] + 8, lacking[k]->freshness);
     msgs[k] = {ByteView(heads[k], 16), ByteView(*ref)};
   }
+  crypto::MacBatch& mb = batch_->engine();
+  mb.set_key_all(key_);
   mb.compute_many(msgs, lanes, tags);
   for (std::size_t k = 0; k < lanes; ++k) {
-    std::memcpy(fresh[k]->expected, tags[k], crypto::MacBatch::kTagSize);
-    fresh[k]->ref_src = ref;
+    std::memcpy(lacking[k]->expected, tags[k], crypto::MacBatch::kTagSize);
+    lacking[k]->ref_src = ref;
   }
-  batch_->note_fill(lanes);
 }
 
 const Verifier::PipeEntry& Verifier::pop_pipeline() {
@@ -228,6 +243,7 @@ bool Verifier::check_response(const AttestRequest& request,
           e.challenge != request.challenge) {
         continue;
       }
+      if (e.ref_src == nullptr) fill_expected();
       std::uint8_t expected[crypto::MacBatch::kTagSize];
       std::memcpy(expected, e.expected, sizeof(expected));
       const bool fresh_ref = e.ref_src == reference_memory_.get();

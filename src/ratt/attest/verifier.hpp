@@ -103,11 +103,24 @@ class Verifier {
   /// When attached — and the configuration is batchable (HMAC-SHA1,
   /// freshness that does not read a live clock) — make_request() and
   /// check_response() are served from a precomputed lookahead pipeline
-  /// of up to VerifierBatch::kLanes future rounds whose request and
-  /// expected-response MACs were computed in one multi-buffer wave.
-  /// Every observable output (wire bytes, counter(), DRBG draw order,
-  /// telemetry) is byte-identical to the scalar path; non-batchable
-  /// calls fall back to it transparently.
+  /// of up to VerifierBatch::kLanes future rounds. A fill draws the
+  /// rounds and MACs their request headers in one multi-buffer wave; the
+  /// expected-response tags wait for the first check_response() that
+  /// matches a round without one, which computes every drawn round
+  /// still lacking a tag in one wave over the reference memory current
+  /// at that check. Every observable output (wire bytes, counter(), DRBG
+  /// draw order, telemetry) is byte-identical to the scalar path;
+  /// non-batchable calls fall back to it transparently.
+  ///
+  /// verifier.batch.* accounting: a fill adds one to `fills` and the
+  /// rounds it drew to `lanes`. A check that matches an issued round
+  /// counts a `hit` when that round's tag was computed over the current
+  /// reference memory, and a `miss` (then recomputes the tag scalar)
+  /// when set_reference_memory() swapped the reference after the tag
+  /// was computed. A swap between a fill and the first check is thus
+  /// still all hits; a swap after it makes the already-tagged rounds
+  /// miss. Checks matching no issued round (scalar-built or forged
+  /// requests) count neither.
   void set_batch_engine(VerifierBatch* batch) { batch_ = batch; }
 
  private:
@@ -131,8 +144,9 @@ class Verifier {
   /// issued; FIFO — the entries ARE the next draws of the freshness /
   /// challenge stream, in order) and then in issued_ (awaiting its
   /// response; matched by freshness+challenge). `ref_src` records which
-  /// reference memory the expected tag was computed over — a stale
-  /// pointer downgrades that check to the scalar path.
+  /// reference memory the expected tag was computed over — nullptr
+  /// until fill_expected() computes it, and a stale pointer downgrades
+  /// that check to the scalar path.
   struct PipeEntry {
     std::uint64_t freshness;
     std::uint64_t challenge;
@@ -144,8 +158,13 @@ class Verifier {
   /// True when the attached engine can serve this configuration.
   bool batchable() const;
 
-  /// Precompute up to kLanes future rounds in one multi-buffer wave.
+  /// Draw up to kLanes future rounds and MAC their request headers in
+  /// one multi-buffer wave.
   void fill_pipeline();
+
+  /// Compute, in one multi-buffer wave over the current reference
+  /// memory, the expected tag of every drawn round that has none.
+  void fill_expected() const;
 
   /// Issue the oldest precomputed round (pend_count_ > 0), keeping the
   /// freshness/challenge stream in scalar order for both builders.

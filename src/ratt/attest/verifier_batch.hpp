@@ -37,7 +37,7 @@ class VerifierBatch {
     fills_ = lanes_ = hits_ = misses_ = nullptr;
   }
 
-  /// Shared multi-buffer scratch; callers re-key per fill.
+  /// Shared multi-buffer scratch; callers re-key per wave.
   crypto::MacBatch& engine() { return engine_; }
 
   void note_fill(std::size_t lanes);

@@ -1,55 +1,96 @@
 #include "ratt/crypto/drbg.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace ratt::crypto {
 
-HmacDrbg::HmacDrbg(ByteView seed)
-    : mac_(ByteView(key_.data(), key_.size())) {
-  key_.fill(0x00);
+namespace {
+
+constexpr std::size_t kBlock = Sha256::kBlockSize;
+constexpr std::size_t kDigest = Sha256::kDigestSize;
+
+// Pads block[0, 32) as the tail of a 96-byte message (one ipad/opad block
+// plus 32 bytes): the single final block of both HMAC-SHA256
+// compressions over a 32-byte input — V in, or the inner digest out.
+void pad_after_digest(std::uint8_t* block) {
+  block[kDigest] = 0x80;
+  std::memset(block + kDigest + 1, 0, kBlock - 8 - kDigest - 1);
+  store_be64(block + kBlock - 8, (kBlock + kDigest) * 8);
+}
+
+// Finishes the hash resumed from `mid` over the padded `block` and
+// writes its digest over block[0, 32), keeping the padding.
+void absorb(const Sha256::State& mid, std::uint8_t* block) {
+  Sha256::State state = mid;
+  Sha256::compress(state, block);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    store_be32(block + 4 * i, state[i]);
+  }
+}
+
+}  // namespace
+
+HmacDrbg::HmacDrbg(ByteView seed) {
+  const std::uint8_t zero_key[kDigest] = {};
   value_.fill(0x01);
+  rekey(zero_key);
   update(seed);
 }
 
-void HmacDrbg::rekey() { mac_ = Hmac<Sha256>(ByteView(key_.data(), key_.size())); }
+void HmacDrbg::rekey(const std::uint8_t* key) {
+  std::uint8_t pad[kBlock];
+  std::memset(pad + kDigest, 0x36, kBlock - kDigest);
+  for (std::size_t i = 0; i < kDigest; ++i) {
+    pad[i] = static_cast<std::uint8_t>(key[i] ^ 0x36);
+  }
+  inner_ = Sha256::kInitState;
+  Sha256::compress(inner_, pad);
+  for (std::uint8_t& b : pad) b ^= 0x36 ^ 0x5c;
+  outer_ = Sha256::kInitState;
+  Sha256::compress(outer_, pad);
+}
+
+void HmacDrbg::update_step(std::uint8_t sep, ByteView provided) {
+  // K = HMAC(K, V || sep || provided); V || sep fills 33 bytes, so an
+  // empty `provided` (every generate()'s refresh) pads into one block.
+  Sha256 inner(Sha256::Midstate{inner_, kBlock});
+  inner.update(value_);
+  inner.update(ByteView(&sep, 1));
+  inner.update(provided);
+  const Digest inner_digest = inner.finish();
+  std::uint8_t block[kBlock];
+  std::memcpy(block, inner_digest.data(), kDigest);
+  pad_after_digest(block);
+  absorb(outer_, block);
+  rekey(block);
+  // V = HMAC(K, V).
+  std::memcpy(block, value_.data(), kDigest);
+  absorb(inner_, block);
+  absorb(outer_, block);
+  std::memcpy(value_.data(), block, kDigest);
+}
 
 void HmacDrbg::update(ByteView provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  const std::uint8_t zero = 0x00;
-  mac_.reset();
-  mac_.update(value_);
-  mac_.update(ByteView(&zero, 1));
-  mac_.update(provided);
-  key_ = mac_.finish();
-  rekey();
-  mac_.reset();
-  mac_.update(value_);
-  value_ = mac_.finish();
-  if (provided.empty()) return;
-  // K = HMAC(K, V || 0x01 || provided); V = HMAC(K, V)
-  const std::uint8_t one = 0x01;
-  mac_.reset();
-  mac_.update(value_);
-  mac_.update(ByteView(&one, 1));
-  mac_.update(provided);
-  key_ = mac_.finish();
-  rekey();
-  mac_.reset();
-  mac_.update(value_);
-  value_ = mac_.finish();
+  update_step(0x00, provided);
+  if (!provided.empty()) update_step(0x01, provided);
 }
 
 Bytes HmacDrbg::generate(std::size_t n) {
-  Bytes out;
-  out.reserve(n);
-  while (out.size() < n) {
-    mac_.reset();
-    mac_.update(value_);
-    value_ = mac_.finish();
-    const std::size_t take = std::min(value_.size(), n - out.size());
-    out.insert(out.end(), value_.begin(), value_.begin() + take);
+  Bytes out(n);
+  // V lives in the block between steps: each V = HMAC(K, V) overwrites
+  // it in place, and the padding after it never changes.
+  std::uint8_t block[kBlock];
+  std::memcpy(block, value_.data(), kDigest);
+  pad_after_digest(block);
+  for (std::size_t off = 0; off < n; off += kDigest) {
+    absorb(inner_, block);
+    absorb(outer_, block);
+    std::memcpy(out.data() + off, block, std::min(kDigest, n - off));
   }
+  std::memcpy(value_.data(), block, kDigest);
   update({});
   return out;
 }

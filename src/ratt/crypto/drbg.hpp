@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "ratt/crypto/bytes.hpp"
-#include "ratt/crypto/hmac.hpp"
 #include "ratt/crypto/sha256.hpp"
 
 namespace ratt::crypto {
@@ -30,15 +29,21 @@ class HmacDrbg {
   std::uint64_t uniform(std::uint64_t bound);
 
  private:
-  void update(ByteView provided);
-  void rekey();
+  using Digest = Sha256::Digest;
 
-  std::array<std::uint8_t, Sha256::kDigestSize> key_{};
-  std::array<std::uint8_t, Sha256::kDigestSize> value_{};
-  // HMAC keyed on key_, rebuilt only when the key changes: every
-  // HMAC(K, ...) inside generate()/update() then skips the two
-  // key-padding compressions. Output bytes are unchanged.
-  Hmac<Sha256> mac_;
+  void update(ByteView provided);
+  /// K = HMAC(K, V || sep || provided), then V = HMAC(K, V).
+  void update_step(std::uint8_t sep, ByteView provided);
+  /// Replace K (32 bytes): absorb K ^ ipad and K ^ opad into fresh
+  /// midstates.
+  void rekey(const std::uint8_t* key);
+
+  // K itself is never read again once keyed: only the SHA-256 states
+  // after absorbing its ipad / opad block are kept (64 B), so every
+  // HMAC(K, .) skips both key-padding compressions.
+  Digest value_{};
+  Sha256::State inner_{};
+  Sha256::State outer_{};
 };
 
 }  // namespace ratt::crypto

@@ -1,6 +1,5 @@
 #include "ratt/crypto/ec.hpp"
 
-#include <algorithm>
 #include <array>
 
 #include "ratt/crypto/modn.hpp"
@@ -187,35 +186,80 @@ EcPoint Secp160r1::scalar_mul(const U192& k, const EcPoint& p) {
 
 namespace {
 
-// Fixed-base comb (Lim-Lee) for k·G: kTeeth teeth kSpacing bits apart
+// Fixed-base comb (Lim-Lee) for k·P: kTeeth teeth kSpacing bits apart
 // cover 165 >= 161 bits, so any k mod n is kSpacing doublings and at most
 // kSpacing mixed additions.
 constexpr int kTeeth = 5;
 constexpr int kSpacing = 33;
 using CombTable = std::array<EcPoint, (1u << kTeeth) - 1>;
 
-// comb_table()[b - 1] = sum over the set bits t of b of 2^(t·kSpacing)·G.
-// Built once per process (132 doublings, 26 affine additions), then
-// read-only.
-const CombTable& comb_table() {
-  static const CombTable table = [] {
-    CombTable t;
-    EcPoint tooth = Secp160r1::generator();
-    for (unsigned j = 0; j < kTeeth; ++j) {
-      if (j > 0) {
-        Jacobian acc = to_jacobian(tooth);
-        for (int i = 0; i < kSpacing; ++i) acc = jacobian_double(acc);
-        tooth = to_affine(acc);
-      }
-      const unsigned bit = 1u << j;
-      t[bit - 1] = tooth;
-      for (unsigned low = 1; low < bit; ++low) {
-        t[bit + low - 1] = Secp160r1::add(t[low - 1], tooth);
-      }
+// table[b - 1] = sum over the set bits t of b of 2^(t·kSpacing)·P, for P
+// on the curve and not infinity: 132 doublings (each tooth after the
+// first goes back to affine, one inversion apiece) and 26 mixed
+// additions, then one batched inversion (Montgomery's trick) brings the
+// whole table back to affine. No entry is infinity: each is a multiple
+// of P by a nonzero integer below 2^133 < n.
+CombTable build_comb(const EcPoint& p) {
+  std::array<Jacobian, (1u << kTeeth) - 1> jac;
+  EcPoint tooth = p;
+  for (unsigned j = 0; j < kTeeth; ++j) {
+    if (j > 0) {
+      Jacobian acc = to_jacobian(tooth);
+      for (int i = 0; i < kSpacing; ++i) acc = jacobian_double(acc);
+      tooth = to_affine(acc);
     }
-    return t;
-  }();
+    const unsigned bit = 1u << j;
+    jac[bit - 1] = to_jacobian(tooth);
+    for (unsigned low = 1; low < bit; ++low) {
+      jac[bit + low - 1] = jacobian_add_affine(jac[low - 1], tooth);
+    }
+  }
+  // prefix[i] = z_0 · ... · z_i; inv walks back from 1 / prefix[30].
+  std::array<Fp160, (1u << kTeeth) - 1> prefix;
+  Fp160 acc(std::uint64_t{1});
+  for (std::size_t i = 0; i < jac.size(); ++i) {
+    acc = acc * jac[i].z;
+    prefix[i] = acc;
+  }
+  Fp160 inv = acc.inverse();
+  CombTable table;
+  for (std::size_t i = jac.size(); i-- > 0;) {
+    const Fp160 z_inv = i == 0 ? inv : inv * prefix[i - 1];
+    inv = inv * jac[i].z;
+    const Fp160 z_inv2 = z_inv.squared();
+    table[i] = EcPoint::make(jac[i].x * z_inv2, jac[i].y * z_inv2 * z_inv);
+  }
   return table;
+}
+
+// The comb of G, built once per process, then read-only.
+const CombTable& comb_table() {
+  static const CombTable table = build_comb(Secp160r1::generator());
+  return table;
+}
+
+// The comb of the last Q joint_mul saw on this thread. ECDSA verifies
+// against a handful of long-lived public keys (every prover checks one
+// vendor key), so one slot per thread hits on all but the first verify
+// and needs no lock.
+const CombTable& q_comb(const EcPoint& q) {
+  thread_local EcPoint key;  // infinity = empty slot (q never is)
+  thread_local CombTable table;
+  if (key != q) {
+    table = build_comb(q);
+    key = q;
+  }
+  return table;
+}
+
+// The comb column of k at doubling step i: bit t of the result is bit
+// t·kSpacing + i of k.
+unsigned comb_column(const U192& k, int i) {
+  unsigned b = 0;
+  for (unsigned t = 0; t < kTeeth; ++t) {
+    b |= static_cast<unsigned>(k.bit(t * kSpacing + i)) << t;
+  }
+  return b;
 }
 
 }  // namespace
@@ -227,10 +271,7 @@ EcPoint Secp160r1::scalar_mul_base(const U192& k) {
   Jacobian result{};
   for (int i = kSpacing; i-- > 0;) {
     result = jacobian_double(result);
-    unsigned b = 0;
-    for (unsigned t = 0; t < kTeeth; ++t) {
-      b |= static_cast<unsigned>(r.bit(t * kSpacing + i)) << t;
-    }
+    const unsigned b = comb_column(r, i);
     if (b != 0) result = jacobian_add_affine(result, table[b - 1]);
   }
   return to_affine(result);
@@ -238,22 +279,21 @@ EcPoint Secp160r1::scalar_mul_base(const U192& k) {
 
 EcPoint Secp160r1::joint_mul(const U192& u1, const U192& u2,
                              const EcPoint& q) {
-  // Shamir's trick: one shared doubling chain; each bit pair adds G, Q or
-  // the precomputed G + Q (infinity when Q = -G, which adds nothing).
-  const EcPoint& g = generator();
-  const EcPoint g_plus_q = add(g, q);
+  if (q.infinity) return scalar_mul_base(u1);
+  // Two combs sharing one doubling chain: u1 mod n against G's table,
+  // u2 mod n against Q's (Q has order n, as every finite point on the
+  // curve does).
+  const U192 r1 = modn(u1.resized<12>());
+  const U192 r2 = modn(u2.resized<12>());
+  const CombTable& g_table = comb_table();
+  const CombTable& q_table = q_comb(q);
   Jacobian result{};
-  for (int i = std::max(u1.bit_length(), u2.bit_length()); i-- > 0;) {
+  for (int i = kSpacing; i-- > 0;) {
     result = jacobian_double(result);
-    const bool b1 = u1.bit(static_cast<std::size_t>(i));
-    const bool b2 = u2.bit(static_cast<std::size_t>(i));
-    if (b1 && b2) {
-      result = jacobian_add_affine(result, g_plus_q);
-    } else if (b1) {
-      result = jacobian_add_affine(result, g);
-    } else if (b2) {
-      result = jacobian_add_affine(result, q);
-    }
+    const unsigned b1 = comb_column(r1, i);
+    if (b1 != 0) result = jacobian_add_affine(result, g_table[b1 - 1]);
+    const unsigned b2 = comb_column(r2, i);
+    if (b2 != 0) result = jacobian_add_affine(result, q_table[b2 - 1]);
   }
   return to_affine(result);
 }

@@ -63,9 +63,10 @@ class Secp160r1 {
   /// constant-time.
   static EcPoint scalar_mul_base(const U192& k);
 
-  /// u1·G + u2·Q in one joint double-and-add (Shamir's trick): a single
-  /// doubling chain over the longer scalar, adding G, Q or G + Q per bit
-  /// pair. Q must be on the curve. Not constant-time.
+  /// u1·G + u2·Q by two fixed-base combs sharing one doubling chain:
+  /// 33 doublings and at most 66 mixed additions, against G's table and a
+  /// 31-point table of Q built on the first call with that Q (one cached
+  /// Q per thread). Q must be on the curve. Not constant-time.
   static EcPoint joint_mul(const U192& u1, const U192& u2, const EcPoint& q);
 };
 

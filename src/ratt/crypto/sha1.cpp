@@ -40,19 +40,19 @@ void Sha1::update(ByteView data) {
 }
 
 Sha1::Digest Sha1::finish() {
+  // Pad in place: 0x80, zeros up to the length field, the bit length —
+  // one extra block when the 0x80 leaves no room for the 8-byte length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  static constexpr std::uint8_t kZero[kBlockSize] = {};
-  while (buffer_len_ != kBlockSize - 8) {
-    const std::size_t want = (buffer_len_ < kBlockSize - 8)
-                                 ? (kBlockSize - 8 - buffer_len_)
-                                 : (kBlockSize - buffer_len_);
-    update(ByteView(kZero, want));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  update(ByteView(len_bytes, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  store_be64(buffer_.data() + kBlockSize - 8, bit_len);
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out{};
   for (std::size_t i = 0; i < 5; ++i) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 #include "ratt/crypto/sha_shani.hpp"
 
@@ -25,10 +26,16 @@ constexpr std::uint32_t kK[64] = {
 }  // namespace
 
 void Sha256::reset() {
-  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  state_ = kInitState;
   buffer_len_ = 0;
   total_len_ = 0;
+}
+
+Sha256::Sha256(const Midstate& mid)
+    : state_(mid.h), total_len_(mid.total_len) {
+  if (mid.total_len % kBlockSize != 0) {
+    throw std::invalid_argument("Sha256: midstate is not block-aligned");
+  }
 }
 
 void Sha256::update(ByteView data) {
@@ -57,19 +64,19 @@ void Sha256::update(ByteView data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Pad in place: 0x80, zeros up to the length field, the bit length —
+  // one extra block when the 0x80 leaves no room for the 8-byte length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  static constexpr std::uint8_t kZero[kBlockSize] = {};
-  while (buffer_len_ != kBlockSize - 8) {
-    const std::size_t want = (buffer_len_ < kBlockSize - 8)
-                                 ? (kBlockSize - 8 - buffer_len_)
-                                 : (kBlockSize - buffer_len_);
-    update(ByteView(kZero, want));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  update(ByteView(len_bytes, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  store_be64(buffer_.data() + kBlockSize - 8, bit_len);
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out{};
   for (std::size_t i = 0; i < 8; ++i) {
@@ -84,12 +91,12 @@ Sha256::Digest Sha256::hash(ByteView data) {
   return h.finish();
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+void Sha256::compress(State& state, const std::uint8_t* block) {
   static const bool kUseNi = detail::sha_ni_supported();
   if (kUseNi) {
-    detail::sha256_compress_ni(state_.data(), block);
+    detail::sha256_compress_ni(state.data(), block);
   } else {
-    detail::sha256_compress_portable(state_.data(), block);
+    detail::sha256_compress_portable(state.data(), block);
   }
 }
 

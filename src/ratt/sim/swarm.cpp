@@ -348,7 +348,15 @@ void Swarm::run_until(double until_ms) {
   for (auto& shard : shards_) shard->queue.run_until(until_ms);
 }
 
-std::size_t Swarm::run_all() { return drain(1); }
+std::size_t Swarm::run_all() {
+  // A sink shared by every shard is not synchronized, so a fleet attached
+  // that way drains on the calling thread; per-shard rings, a bare
+  // registry or no observer at all drain on the pool.
+  const obs::TraceSink* sink = shards_[0]->observer.sink;
+  const bool shared_sink = sink != nullptr && shards_.size() > 1 &&
+                           shards_[1]->observer.sink == sink;
+  return drain(shared_sink ? 1 : obs::tail_workers(shards_.size()));
+}
 
 std::size_t Swarm::shard_budget(const Shard& shard) const {
   const std::size_t devices = shard.end - shard.begin;

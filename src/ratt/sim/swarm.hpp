@@ -198,7 +198,8 @@ class Swarm {
   /// every shard queue publishes its backlog gauges. Metrics aggregate
   /// fleet-wide; traces stay per-device via device_id. The single shared
   /// sink is NOT synchronized — use attach_sharded_observer() before
-  /// run_parallel() with more than one thread.
+  /// run_parallel() with more than one thread (run_all() keeps such a
+  /// fleet on the calling thread by itself).
   void attach_observer(obs::Registry* registry, obs::TraceSink* sink);
 
   /// Sharded tracing + profiling for parallel runs: every shard records
@@ -260,9 +261,16 @@ class Swarm {
   // snapshots current state.
   void schedule(double horizon_ms);
   void run_until(double until_ms);
-  /// Drain every shard on the calling thread without scheduling anything
-  /// (setup phases: recording taps, priming injections). Returns the
-  /// total stranded backlog (0 = fully drained).
+  /// Drain every shard without scheduling anything (setup phases:
+  /// recording taps, priming injections). Returns the total stranded
+  /// backlog (0 = fully drained). Shards drain on the obs pool, one
+  /// worker per hardware thread (obs::tail_workers(shard_count())), under
+  /// run_parallel()'s contract: channel taps, scheduled callbacks and
+  /// sinks belong to their device's shard and are never shared across
+  /// shards. The one exception is a fleet whose observer plan holds a
+  /// single sink for every shard (attach_observer with a non-null sink):
+  /// that sink is not synchronized, so such a fleet drains on the
+  /// calling thread. Output is byte-identical either way.
   std::size_t run_all();
   /// Report over [0, horizon_ms] from current state. events_leftover is
   /// the still-pending backlog across shards (0 after a drained run).

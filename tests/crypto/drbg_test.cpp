@@ -1,10 +1,13 @@
 // HMAC-DRBG determinism and distribution sanity.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "ratt/crypto/bytes.hpp"
 #include "ratt/crypto/drbg.hpp"
+#include "ratt/crypto/hmac.hpp"
+#include "ratt/crypto/sha256.hpp"
 
 namespace ratt::crypto {
 namespace {
@@ -98,6 +101,87 @@ TEST(HmacDrbg, PowerOfTwoBoundIsUnbiased) {
   for (int c : counts) {
     EXPECT_GT(c, 350);
     EXPECT_LT(c, 650);
+  }
+}
+
+// SP 800-90A HMAC_DRBG (10.1.2) written out step by step over the
+// generic Hmac<Sha256>: the oracle HmacDrbg's midstate shortcuts must
+// reproduce bit for bit.
+class LiteralHmacDrbg {
+ public:
+  explicit LiteralHmacDrbg(ByteView seed)
+      : key_(Sha256::kDigestSize, 0x00), value_(Sha256::kDigestSize, 0x01) {
+    update(seed);
+  }
+
+  Bytes generate(std::size_t n) {
+    Bytes temp;
+    while (temp.size() < n) {
+      value_ = hmac(value_);
+      append(temp, value_);
+    }
+    temp.resize(n);
+    update({});
+    return temp;
+  }
+
+  void reseed(ByteView seed) { update(seed); }
+
+  std::uint64_t uniform(std::uint64_t bound) {
+    const int bits = 64 - std::countl_zero(bound - 1);
+    const std::uint64_t mask =
+        bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    for (;;) {
+      const std::uint64_t v = load_be64(generate(8).data()) & mask;
+      if (v < bound) return v;
+    }
+  }
+
+ private:
+  Bytes hmac(ByteView data) const {
+    const auto d = Hmac<Sha256>::mac(key_, data);
+    return Bytes(d.begin(), d.end());
+  }
+
+  // HMAC_DRBG_Update (10.1.2.2).
+  void update(ByteView provided) {
+    for (const std::uint8_t sep : {0x00, 0x01}) {
+      Bytes msg = value_;
+      msg.push_back(sep);
+      append(msg, provided);
+      key_ = hmac(msg);
+      value_ = hmac(value_);
+      if (provided.empty()) return;
+    }
+  }
+
+  Bytes key_;
+  Bytes value_;
+};
+
+TEST(HmacDrbg, MatchesLiteralSp80090aOverHmacSha256) {
+  // Seeds of 0-95 bytes straddle the one-block (<= 22 B of provided
+  // data) and streamed update paths; every generate size crosses a
+  // 32-byte output boundary or the image-sized 16 640 bytes.
+  HmacDrbg seeds(from_string("drbg-literal-oracle"));
+  for (std::size_t i = 0; i < 96; ++i) {
+    SCOPED_TRACE(i);
+    const Bytes seed = seeds.generate(i);
+    HmacDrbg fast(seed);
+    LiteralHmacDrbg slow(seed);
+    for (const std::size_t n : {0u, 1u, 8u, 31u, 32u, 33u, 256u, 16640u}) {
+      if (n == 16640u && i % 8 != 0) continue;
+      ASSERT_EQ(fast.generate(n), slow.generate(n)) << "generate " << n;
+    }
+    const Bytes extra = seeds.generate((i * 7) % 80);
+    fast.reseed(extra);
+    slow.reseed(extra);
+    ASSERT_EQ(fast.generate(40), slow.generate(40)) << "after reseed";
+    for (const std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{17}, std::uint64_t{1} << 40,
+          ~std::uint64_t{0}}) {
+      ASSERT_EQ(fast.uniform(bound), slow.uniform(bound)) << bound;
+    }
   }
 }
 

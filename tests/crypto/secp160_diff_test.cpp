@@ -8,7 +8,7 @@
 //   Fp160 + and - (64-bit words)     vs  U192 arithmetic + mod_wide
 //   Fp160::inverse (binary Euclid)   vs  Fermat a^(p-2)
 //   scalar_mul_base (fixed-base comb) vs  scalar_mul(k, G), double-and-add
-//   joint_mul (Shamir's trick)       vs  two scalar_mul calls + add
+//   joint_mul (G comb + cached Q comb) vs two scalar_mul calls + add
 //   ecdsa_sign / ecdsa_verify        vs  the same algorithm on the oracles
 #include <gtest/gtest.h>
 
@@ -363,15 +363,15 @@ EcPoint rand_point(HmacDrbg& drbg) {
 }
 
 TEST(JointMul, EdgeScalarsAndPoints) {
+  // Q = ±G shares (or negates) every entry of the G comb, and Q =
+  // infinity takes the u1·G path. Scalars at and above n are reduced mod
+  // n first; the oracle multiplies them unreduced.
   const EcPoint g = Secp160r1::generator();
   const EcPoint neg_g = EcPoint::make(g.x, g.y.negated());
   const EcPoint q = Secp160r1::scalar_mul_base(U192(0xc0ffee));
-  std::vector<U192> scalars;
-  for (const U192& k : edge_scalars()) {
-    if (k < n()) scalars.push_back(k);
-  }
+  std::vector<U192> scalars = edge_scalars();
   scalars.push_back(U192(3));
-  for (const EcPoint& pt : {g, neg_g, q}) {
+  for (const EcPoint& pt : {g, neg_g, q, EcPoint{}}) {
     for (const U192& u1 : scalars) {
       for (const U192& u2 : scalars) {
         SCOPED_TRACE(u1.to_hex() + " / " + u2.to_hex());
@@ -383,8 +383,9 @@ TEST(JointMul, EdgeScalarsAndPoints) {
 }
 
 TEST(JointMul, GPlusQAtInfinity) {
-  // Q = -G makes the precomputed G + Q the point at infinity: bit pairs
-  // (1, 1) then add nothing, and u·G + u·(-G) vanishes.
+  // Q = -G: every Q-comb entry is the negation of the G-comb entry of the
+  // same column, so equal scalars cancel step by step (the P + (-P)
+  // branch of the mixed add) and u·G + u·(-G) vanishes.
   const EcPoint g = Secp160r1::generator();
   const EcPoint neg_g = EcPoint::make(g.x, g.y.negated());
   HmacDrbg drbg(from_string("joint-neg-g"));
@@ -395,7 +396,8 @@ TEST(JointMul, GPlusQAtInfinity) {
     EXPECT_EQ(Secp160r1::joint_mul(u, v, neg_g),
               reference::joint_mul(u, v, neg_g));
   }
-  // Q = G: G + Q is 2G, reached through the doubling branch of add.
+  // Q = G: both combs add the same entry, reached through the doubling
+  // branch of the mixed add.
   EXPECT_EQ(Secp160r1::joint_mul(U192(1), U192(1), g),
             Secp160r1::double_point(g));
   EXPECT_TRUE(Secp160r1::joint_mul(n() - U192(1), U192(1), g).infinity);
@@ -406,6 +408,20 @@ TEST(JointMul, InfinityAddend) {
   EXPECT_EQ(Secp160r1::joint_mul(u1, U192(678), EcPoint{}),
             Secp160r1::scalar_mul_base(u1));
   EXPECT_TRUE(Secp160r1::joint_mul(U192(0), U192(0), EcPoint{}).infinity);
+}
+
+TEST(JointMul, AlternatingQEvictsTheCachedComb) {
+  // One cached Q comb per thread: alternating keys rebuild it on every
+  // call, repeating a key reuses it; both must match the oracle.
+  HmacDrbg drbg(from_string("joint-alternating-q"));
+  const EcPoint keys[2] = {rand_point(drbg), rand_point(drbg)};
+  for (const int k : {0, 1, 0, 1, 1, 0, 0, 1}) {
+    const U192 u1 = rand_below_n(drbg);
+    const U192 u2 = rand_below_n(drbg);
+    ASSERT_EQ(Secp160r1::joint_mul(u1, u2, keys[k]),
+              reference::joint_mul(u1, u2, keys[k]))
+        << "key " << k;
+  }
 }
 
 class JointMulLockstep : public ::testing::TestWithParam<int> {

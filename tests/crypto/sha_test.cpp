@@ -178,6 +178,26 @@ TEST(Sha1, ResumeRejectsUnalignedMidstate) {
   EXPECT_THROW(Sha1{mid}, std::invalid_argument);
 }
 
+TEST(Sha256, ResumeFromMidstateMatchesStraightHash) {
+  // Two blocks absorbed by hand through compress(), then resumed.
+  const Bytes prefix(2 * Sha256::kBlockSize, 0x5c);
+  const Bytes rest = from_string("continues after the midstate");
+  Sha256::State state = Sha256::kInitState;
+  Sha256::compress(state, prefix.data());
+  Sha256::compress(state, prefix.data() + Sha256::kBlockSize);
+  Sha256 resumed(Sha256::Midstate{state, prefix.size()});
+  resumed.update(ByteView(rest));
+  Sha256 straight;
+  straight.update(ByteView(prefix));
+  straight.update(ByteView(rest));
+  EXPECT_EQ(resumed.finish(), straight.finish());
+}
+
+TEST(Sha256, ResumeRejectsUnalignedMidstate) {
+  EXPECT_THROW(Sha256(Sha256::Midstate{Sha256::kInitState, 70}),
+               std::invalid_argument);
+}
+
 /// The FIPS 180-4 "abc" message, padded to one block.
 std::array<std::uint8_t, 64> padded_abc() {
   std::array<std::uint8_t, 64> block{};
@@ -234,6 +254,64 @@ TEST(ShaCompress, PortableMatchesNiOnRandomBlocks) {
     }
     for (int i = 0; i < 8; ++i) {
       ASSERT_EQ(a256[i], b256[i]) << "sha256 round " << round << " word " << i;
+    }
+  }
+}
+
+/// FIPS 180-4 padding written out literally (0x80, zeros to 56 mod 64,
+/// the 64-bit big-endian bit length) and run through `compress` block by
+/// block from `iv`.
+template <std::size_t W>
+std::array<std::uint8_t, 4 * W> literal_digest(
+    ByteView data, const std::array<std::uint32_t, W>& iv,
+    void (*compress)(std::uint32_t*, const std::uint8_t*)) {
+  Bytes m(data.begin(), data.end());
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0x00);
+  std::uint8_t bits[8];
+  store_be64(bits, data.size() * 8);
+  m.insert(m.end(), bits, bits + 8);
+  std::array<std::uint32_t, W> h = iv;
+  for (std::size_t off = 0; off < m.size(); off += 64) {
+    compress(h.data(), m.data() + off);
+  }
+  std::array<std::uint8_t, 4 * W> out{};
+  for (std::size_t i = 0; i < W; ++i) store_be32(out.data() + 4 * i, h[i]);
+  return out;
+}
+
+TEST(ShaCompress, EveryLengthTo200MatchesLiteralPadding) {
+  // finish() pads in place; for every length from 0 to 200 bytes its
+  // one-shot digest must equal the digest fed one byte at a time and the
+  // literal padding on the portable compressor — and on the NI one when
+  // the CPU has it (dispatch only ever runs one of them here).
+  const std::array<std::uint32_t, 5> iv1 = {
+      0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
+  const std::array<std::uint32_t, 8> iv256 = {
+      0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+      0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  HmacDrbg drbg(from_string("sha-every-length"));
+  const Bytes pool = drbg.generate(200);
+  for (std::size_t len = 0; len <= 200; ++len) {
+    SCOPED_TRACE(len);
+    const ByteView data(pool.data(), len);
+    Sha1 b1;
+    Sha256 b256;
+    for (const std::uint8_t b : data) {
+      b1.update(ByteView(&b, 1));
+      b256.update(ByteView(&b, 1));
+    }
+    const Sha1::Digest one1 = Sha1::hash(data);
+    const Sha256::Digest one256 = Sha256::hash(data);
+    EXPECT_EQ(b1.finish(), one1);
+    EXPECT_EQ(b256.finish(), one256);
+    EXPECT_EQ(literal_digest(data, iv1, detail::sha1_compress_portable), one1);
+    EXPECT_EQ(literal_digest(data, iv256, detail::sha256_compress_portable),
+              one256);
+    if (detail::sha_ni_supported()) {
+      EXPECT_EQ(literal_digest(data, iv1, detail::sha1_compress_ni), one1);
+      EXPECT_EQ(literal_digest(data, iv256, detail::sha256_compress_ni),
+                one256);
     }
   }
 }

@@ -89,8 +89,9 @@ void expect_identical(const FleetRun& a, const FleetRun& b) {
 }
 
 // bench_swarm_dos --devices=N --threads=T: per-device boot images, phase
-// I records one genuine request per link (serial, untraced), phase II
-// replays it 20x per device under sharded tracing.
+// I records one genuine request per link (untraced; its run_all drains
+// the shards on the pool), phase II replays it 20x per device under
+// sharded tracing.
 FleetRun replay_flood(std::size_t devices, std::size_t threads,
                       bool per_byte_bus = false) {
   SwarmConfig config;

@@ -4,7 +4,11 @@
 // single-queue serial run for the same seed.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "ratt/sim/fleet_health.hpp"
 #include "ratt/sim/swarm.hpp"
@@ -35,6 +39,64 @@ TEST(SwarmShard, PlanCoversEveryDeviceOnce) {
   for (std::size_t i = 0; i < swarm.size(); ++i) {
     EXPECT_NO_THROW(swarm.queue_of(i));
   }
+}
+
+// Remembers the thread every record arrives on. Unsynchronized, like any
+// sink attach_observer() shares across all shards. The first record
+// stalls its shard for 20 ms, so a pooled drain would hand the other
+// shards to other threads meanwhile.
+class ThreadRecordingSink : public obs::TraceSink {
+ public:
+  void record(const obs::TraceRecord&) override {
+    if (threads.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    threads.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> threads;
+};
+
+TEST(SwarmShard, RunAllKeepsASharedSinkOnTheCallingThread) {
+  Swarm swarm(fleet(8, 4), crypto::from_string("shard-seed"));
+  obs::Registry registry;
+  ThreadRecordingSink sink;
+  swarm.attach_observer(&registry, &sink);
+  for (std::size_t i = 0; i < swarm.size(); ++i) {
+    swarm.session(i).send_request();
+  }
+  EXPECT_EQ(swarm.run_all(), 0u);
+  ASSERT_FALSE(sink.threads.empty());
+  for (const std::thread::id id : sink.threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(swarm.report(0.0).total_valid(), 8u);
+}
+
+TEST(SwarmShard, RunAllDrainsShardsOnThePool) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs two hardware threads";
+  }
+  // Each shard's first event waits for the other's: both get past the
+  // wait only when two workers drain the shards at the same time.
+  Swarm swarm(fleet(2, 2), crypto::from_string("shard-seed"));
+  std::atomic<int> arrived{0};
+  bool met[2] = {false, false};
+  for (std::size_t i = 0; i < 2; ++i) {
+    swarm.queue_of(i).schedule_at(0.5, [&arrived, &met, i] {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      met[i] = arrived.load() >= 2;
+    });
+    swarm.session(i).send_request();
+  }
+  EXPECT_EQ(swarm.run_all(), 0u);
+  EXPECT_TRUE(met[0]);
+  EXPECT_TRUE(met[1]);
+  EXPECT_EQ(swarm.report(0.0).total_valid(), 2u);
 }
 
 TEST(SwarmShard, ShardCountClampedToDevices) {
