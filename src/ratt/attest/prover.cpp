@@ -83,11 +83,27 @@ std::string to_string(MpuFlavor flavor) {
 
 ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
                            ByteView app_seed)
-    : ProverDevice(config, std::move(k_attest), app_seed, nullptr) {}
+    : ProverDevice(config, std::move(k_attest), app_seed, kDeferBoot) {
+  boot();
+}
 
 ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
                            const ProverTemplate& tmpl)
-    : ProverDevice(config, std::move(k_attest), ByteView{}, &tmpl) {}
+    : ProverDevice(config, std::move(k_attest), tmpl, kDeferBoot) {
+  boot();
+}
+
+ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
+                           ByteView app_seed, DeferBoot)
+    : ProverDevice(config, std::move(k_attest)) {
+  app_seed_.assign(app_seed.begin(), app_seed.end());
+}
+
+ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
+                           const ProverTemplate& tmpl, DeferBoot)
+    : ProverDevice(config, std::move(k_attest)) {
+  tmpl_ = &tmpl;
+}
 
 ProverTemplate ProverDevice::make_template(const ProverConfig& config,
                                            ByteView app_seed) {
@@ -98,7 +114,8 @@ ProverTemplate ProverDevice::make_template(const ProverConfig& config,
   // per-device boot; expected_hash doubles as the memoized digest.
   tmpl.reference = hw::make_rom_reference(tmpl.image, vendor_keypair());
   tmpl.digest = tmpl.reference.expected_hash;
-  tmpl.reference_memory = tmpl.image.segments[1].data;
+  tmpl.reference_memory =
+      std::make_shared<const Bytes>(tmpl.image.segments[1].data);
   // Segment pages for the copy-on-write boot alias. The prover always
   // uses the default memory map (only clock_hz varies per config), so
   // the default layout is the right page geometry for every device.
@@ -107,8 +124,7 @@ ProverTemplate ProverDevice::make_template(const ProverConfig& config,
   return tmpl;
 }
 
-ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
-                           ByteView app_seed, const ProverTemplate* tmpl)
+ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest)
     : config_(config), timing_(config.clock_hz) {
   hw::Mcu::Layout layout;
   layout.clock_hz = static_cast<std::uint64_t>(config.clock_hz);
@@ -270,24 +286,33 @@ ProverDevice::ProverDevice(const ProverConfig& config, Bytes k_attest,
         CodeAttest::page_count(config_.measured_bytes),
         crypto::tag_size(config_.mac_alg));
   }
+}
 
+void ProverDevice::boot() {
+  if (booted_) return;
   // --- Secure boot: application image + IDT + protection rules. ---
-  if (tmpl != nullptr) {
+  const auto protect = [this](hw::Mcu& mcu) {
+    return configure_protection(mcu);
+  };
+  if (tmpl_ != nullptr) {
     // Fleet-templated boot: the shared image with the signature check
     // and digest memoized at template build (hw::BootFastPath).
     boot_status_ = hw::secure_boot(
-        *mcu_, tmpl->image, tmpl->reference,
-        [this](hw::Mcu& mcu) { return configure_protection(mcu); },
-        hw::BootFastPath{/*signature_preverified=*/true, &tmpl->digest,
-                         &tmpl->shared_pages});
+        *mcu_, tmpl_->image, tmpl_->reference, protect,
+        hw::BootFastPath{/*signature_preverified=*/true, &tmpl_->digest,
+                         &tmpl_->shared_pages});
   } else {
-    const hw::BootImage image =
-        make_boot_image(app_seed, config_.measured_bytes);
+    hw::BootImage image = make_boot_image(app_seed_, config_.measured_bytes);
     const auto reference = hw::make_rom_reference(image, vendor_keypair());
-    boot_status_ = hw::secure_boot(
-        *mcu_, image, reference,
-        [this](hw::Mcu& mcu) { return configure_protection(mcu); });
+    boot_status_ = hw::secure_boot(*mcu_, image, reference, protect);
+    image_reference_ =
+        std::make_shared<const Bytes>(std::move(image.segments[1].data));
   }
+  booted_ = true;
+  // set_observer() may have run on the cold device: move its fault
+  // baseline past whatever the boot itself dropped, as an observer
+  // attached after an eager boot would have seen it.
+  seen_faults_dropped_ = mcu_->bus().faults_dropped();
 }
 
 bool ProverDevice::configure_protection(hw::Mcu& mcu) {
@@ -607,11 +632,13 @@ AttestOutcome ProverDevice::conclude(AttestOutcome out, const Request& request,
 
 AttestOutcome ProverDevice::handle(const AttestRequest& request,
                                    const obs::RoundContext& round) {
+  boot();
   return conclude(anchor_->handle_request(request), request, round);
 }
 
 AttestOutcome ProverDevice::handle_incremental(
     const IncAttestRequest& request, const obs::RoundContext& round) {
+  boot();
   const AttestOutcome out =
       conclude(anchor_->handle_incremental(request), request, round);
   if (obs_.registry != nullptr) {
@@ -631,6 +658,7 @@ AttestOutcome ProverDevice::handle_incremental(
 }
 
 Bytes ProverDevice::reference_memory() {
+  boot();
   Bytes out(config_.measured_bytes);
   // Hardware-context read: this models the verifier's out-of-band
   // knowledge of the expected image, not a runtime access.
@@ -639,11 +667,18 @@ Bytes ProverDevice::reference_memory() {
   return out;
 }
 
-std::uint64_t ProverDevice::ground_truth_ticks() const {
+std::shared_ptr<const Bytes> ProverDevice::image_reference() {
+  boot();
+  return tmpl_ != nullptr ? tmpl_->reference_memory : image_reference_;
+}
+
+std::uint64_t ProverDevice::ground_truth_ticks() {
+  boot();
   return mcu_->cycles() / clock_divider_;
 }
 
 std::optional<std::uint64_t> ProverDevice::prover_clock_ticks() {
+  boot();
   if (clock_source_ == nullptr) return std::nullopt;
   return clock_source_->read_ticks(anchor_->ctx());
 }

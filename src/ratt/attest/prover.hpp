@@ -5,10 +5,14 @@
 // roaming attacks can be run against both vulnerable and hardened
 // configurations.
 //
-// Construction provisions K_Attest, runs secure boot (loading the
-// application image and programming + locking the EA-MPU), and wires the
-// clock design. The resulting object is what adversaries in ratt::adv
-// attack.
+// Construction has two steps. Manufacture validates the configuration,
+// builds the MCU, provisions K_Attest and wires the clock design, the
+// freshness policy and the trust anchor. Secure boot then derives and
+// vendor-signs the application image, verifies and loads it, and programs
+// and locks the EA-MPU. The public constructors run both; the DeferBoot
+// ones run manufacture only, and the device boots on the first call that
+// reads or changes its state. The resulting object is what adversaries in
+// ratt::adv attack.
 #pragma once
 
 #include <array>
@@ -117,9 +121,9 @@ struct ProverTemplate {
   hw::RomReference reference;
   crypto::Sha256::Digest digest{};
   /// The measured-range bytes the verifier expects — what secure boot
-  /// loads at the measured base (share via Verifier's shared_ptr
-  /// set_reference_memory overload).
-  Bytes reference_memory;
+  /// loads at the measured base — as one copy every verifier of the
+  /// fleet shares (Verifier's shared_ptr set_reference_memory overload).
+  std::shared_ptr<const Bytes> reference_memory;
   /// Page-aligned images of the boot segments, built once here and
   /// aliased copy-on-write into every device booting this template
   /// (hw::BootFastPath::shared_pages): a fleet stores the application
@@ -149,6 +153,12 @@ struct AttackSurface {
   std::size_t cache_size = 0;         // tag table; 0/0 if not incremental)
 };
 
+/// Selects ProverDevice's deferred-boot constructors.
+struct DeferBoot {
+  explicit DeferBoot() = default;
+};
+inline constexpr DeferBoot kDeferBoot{};
+
 class ProverDevice {
  public:
   /// Builds, provisions and securely boots the device. `k_attest` is the
@@ -163,6 +173,18 @@ class ProverDevice {
   ProverDevice(const ProverConfig& config, Bytes k_attest,
                const ProverTemplate& tmpl);
 
+  /// Deferred-boot variants (Swarm materialization): manufacture only.
+  /// Configuration errors still throw here. Secure boot runs on the
+  /// first call that reads or changes device state — handle*(),
+  /// idle_ms(), mcu(), anchor(), boot_status(), reference_memory(),
+  /// image_reference(), the clock reads and the services / sync / audit
+  /// accessors — so a fleet boots each device on the thread that first
+  /// drives it. The booted device is byte-identical to the eager one.
+  ProverDevice(const ProverConfig& config, Bytes k_attest,
+               ByteView app_seed, DeferBoot);
+  ProverDevice(const ProverConfig& config, Bytes k_attest,
+               const ProverTemplate& tmpl, DeferBoot);
+
   /// Build the shared image + signed reference a fleet's devices boot
   /// from. `app_seed` determinizes the image exactly the way the
   /// per-device constructor would (same DRBG, same segment layout).
@@ -173,10 +195,24 @@ class ProverDevice {
   ProverDevice& operator=(const ProverDevice&) = delete;
 
   const ProverConfig& config() const { return config_; }
-  hw::BootStatus boot_status() const { return boot_status_; }
+  hw::BootStatus boot_status() {
+    boot();
+    return boot_status_;
+  }
+  /// Has secure boot run yet? (Pure query — never boots.)
+  bool booted() const { return booted_; }
 
-  hw::Mcu& mcu() { return *mcu_; }
-  CodeAttest& anchor() { return *anchor_; }
+  hw::Mcu& mcu() {
+    boot();
+    return *mcu_;
+  }
+  /// The MCU as it stands, without booting a cold device: footprint
+  /// accounting (Swarm::resident()) reads it.
+  const hw::Mcu& peek_mcu() const { return *mcu_; }
+  CodeAttest& anchor() {
+    boot();
+    return *anchor_;
+  }
   const timing::DeviceTimingModel& timing_model() const { return timing_; }
   const AttackSurface& surface() const { return surface_; }
 
@@ -205,15 +241,24 @@ class ProverDevice {
 
   /// Let simulated wall-clock time pass (the device idles / does its
   /// primary task); clocks advance.
-  void idle_ms(double ms) { mcu_->advance_ms(ms); }
+  void idle_ms(double ms) {
+    boot();
+    mcu_->advance_ms(ms);
+  }
 
   /// Reference copy of the measured memory (the verifier's view).
   Bytes reference_memory();
 
+  /// The measured range of the image this device secure-booted: the
+  /// vendor's known-good copy a verifier checks against, shared rather
+  /// than copied. Unlike reference_memory(), later writes to the device's
+  /// memory never show in it.
+  std::shared_ptr<const Bytes> image_reference();
+
   /// What an untampered clock of this design would read now — the ground
   /// truth the verifier's synchronized clock returns (Sec. 4.2 assumes
   /// synchronized clocks).
-  std::uint64_t ground_truth_ticks() const;
+  std::uint64_t ground_truth_ticks();
 
   /// The prover's actual clock reading (differs from ground truth after a
   /// roaming adversary reset it). nullopt if no clock or read fault.
@@ -223,16 +268,30 @@ class ProverDevice {
   double ticks_per_ms() const;
 
   /// The device services endpoint (enable_services). nullptr otherwise.
-  DeviceServices* services() { return services_.get(); }
+  DeviceServices* services() {
+    boot();
+    return services_.get();
+  }
   /// The clock synchronizer (enable_clock_sync). nullptr otherwise.
-  ClockSynchronizer* clock_sync() { return clock_sync_.get(); }
+  ClockSynchronizer* clock_sync() {
+    boot();
+    return clock_sync_.get();
+  }
   /// The audit log (enable_audit_log). nullptr otherwise.
-  AuditLog* audit_log() { return audit_log_.get(); }
+  AuditLog* audit_log() {
+    boot();
+    return audit_log_.get();
+  }
 
  private:
-  ProverDevice(const ProverConfig& config, Bytes k_attest, ByteView app_seed,
-               const ProverTemplate* tmpl);
+  /// Manufacture: every step up to, not including, secure boot.
+  ProverDevice(const ProverConfig& config, Bytes k_attest);
 
+  /// Secure boot, once (a no-op on a booted device): build the image and
+  /// its signed reference, or take the template's, then hw::secure_boot.
+  /// Everything that can throw runs before the MCU is touched, so a boot
+  /// that throws leaves the device as manufacture left it.
+  void boot();
   bool configure_protection(hw::Mcu& mcu);
   /// Shared tail of handle() and handle_incremental(): audit the
   /// decision, advance device time by the work done, emit telemetry.
@@ -262,7 +321,14 @@ class ProverDevice {
   std::unique_ptr<ClockSynchronizer> clock_sync_;
   std::unique_ptr<AuditLog> audit_log_;
   AttackSurface surface_;
+  // Boot inputs (one of the two is set) and outputs.
+  Bytes app_seed_;
+  const ProverTemplate* tmpl_ = nullptr;
+  bool booted_ = false;
   hw::BootStatus boot_status_ = hw::BootStatus::kOk;
+  /// The per-device image's measured range (a template boot uses the
+  /// template's copy instead).
+  std::shared_ptr<const Bytes> image_reference_;
 
   // Telemetry (all nullable; instruments cached at set_observer so the
   // hot path never touches the registry's name map).

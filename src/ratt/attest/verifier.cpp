@@ -138,6 +138,14 @@ void Verifier::fill_pipeline() {
   batch_->note_fill(lanes);
 }
 
+const Bytes& Verifier::reference() const {
+  if (reference_source_) {
+    reference_memory_ = reference_source_();
+    reference_source_ = nullptr;
+  }
+  return *reference_memory_;
+}
+
 void Verifier::fill_expected() const {
   // Wave 2, deferred from fill_pipeline to the first check that needs a
   // tag: the expected measurements over challenge || freshness ||
@@ -153,7 +161,7 @@ void Verifier::fill_expected() const {
     PipeEntry& e = pend_[(pend_head_ + k) & 7];
     if (e.ref_src == nullptr) lacking[lanes++] = &e;
   }
-  const Bytes* ref = reference_memory_.get();
+  const Bytes* ref = &reference();
   std::uint8_t heads[VerifierBatch::kLanes][16];
   crypto::MacBatch::LaneMsg msgs[VerifierBatch::kLanes];
   std::uint8_t tags[VerifierBatch::kLanes][crypto::MacBatch::kTagSize];
@@ -205,6 +213,16 @@ AttestRequest Verifier::make_request() {
   return req;
 }
 
+void Verifier::retire(const AttestRequest& request) {
+  for (std::uint8_t i = 0; i < issued_count_; ++i) {
+    if (issued_[i].freshness == request.freshness &&
+        issued_[i].challenge == request.challenge) {
+      issued_[i] = issued_[--issued_count_];
+      return;
+    }
+  }
+}
+
 IncAttestRequest Verifier::make_incremental_request() {
   if (obs_requests_ != nullptr) obs_requests_->inc();
   IncAttestRequest req;
@@ -246,7 +264,7 @@ bool Verifier::check_response(const AttestRequest& request,
       if (e.ref_src == nullptr) fill_expected();
       std::uint8_t expected[crypto::MacBatch::kTagSize];
       std::memcpy(expected, e.expected, sizeof(expected));
-      const bool fresh_ref = e.ref_src == reference_memory_.get();
+      const bool fresh_ref = e.ref_src == &reference();
       issued_[i] = issued_[--issued_count_];
       if (fresh_ref) {
         batch_->note_hit();
@@ -261,18 +279,19 @@ bool Verifier::check_response(const AttestRequest& request,
   }
   // Recompute the expected measurement over the reference memory,
   // streamed — no challenge||freshness||memory copy per check.
-  mac_->init(16 + reference_memory_->size());
+  const Bytes& ref = reference();
+  mac_->init(16 + ref.size());
   std::uint8_t head[16];
   crypto::store_le64(head, request.challenge);
   crypto::store_le64(head + 8, request.freshness);
   mac_->update(ByteView(head, 16));
-  mac_->update(*reference_memory_);
+  mac_->update(ref);
   return tally(crypto::ct_equal(mac_->finish(), response.measurement));
 }
 
 void Verifier::ensure_page_macs() {
-  if (page_macs_src_ == reference_memory_.get()) return;
-  const Bytes& ref = *reference_memory_;
+  const Bytes& ref = reference();
+  if (page_macs_src_ == &ref) return;
   constexpr std::size_t kPage = 4096;
   const std::size_t pages = (ref.size() + kPage - 1) / kPage;
   const std::size_t tag_size = mac_->tag_size();
@@ -292,7 +311,7 @@ void Verifier::ensure_page_macs() {
                                           static_cast<std::ptrdiff_t>(
                                               p * tag_size));
   }
-  page_macs_src_ = reference_memory_.get();
+  page_macs_src_ = &ref;
 }
 
 bool Verifier::check_incremental(const IncAttestRequest& request,
@@ -311,8 +330,7 @@ bool Verifier::check_incremental(const IncAttestRequest& request,
   if (response.new_gen == 0) return fail();
 
   constexpr std::size_t kPage = 4096;
-  const std::size_t pages_total =
-      (reference_memory_->size() + kPage - 1) / kPage;
+  const std::size_t pages_total = (reference().size() + kPage - 1) / kPage;
   // Changed-page list sanity: bounded, in range, strictly increasing —
   // the absorb below assumes a canonical list, and a hostile frame must
   // not smuggle duplicates or out-of-range indices past it.

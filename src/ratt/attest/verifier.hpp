@@ -46,7 +46,7 @@ class Verifier {
 
   /// What the verifier expects the prover's memory to contain.
   void set_reference_memory(Bytes memory) {
-    reference_memory_ = std::make_shared<const Bytes>(std::move(memory));
+    set_reference_memory(std::make_shared<const Bytes>(std::move(memory)));
   }
 
   /// Fleet path: thousands of verifiers checking the same application
@@ -54,6 +54,16 @@ class Verifier {
   /// holding measured_bytes each.
   void set_reference_memory(std::shared_ptr<const Bytes> memory) {
     reference_memory_ = std::move(memory);
+    reference_source_ = nullptr;
+  }
+
+  /// Lazy variant: `source` runs once, on the first read of the
+  /// reference (the first check_response() or check_incremental()), and
+  /// its result is kept. A Swarm verifier names its prover's
+  /// image_reference() here, so materializing a device does not boot it.
+  void set_reference_source(
+      std::function<std::shared_ptr<const Bytes>()> source) {
+    reference_source_ = std::move(source);
   }
 
   /// Validate a response to `request` (the verifier recomputes the MAC
@@ -123,6 +133,13 @@ class Verifier {
   /// requests) count neither.
   void set_batch_engine(VerifierBatch* batch) { batch_ = batch; }
 
+  /// The caller stopped waiting for `request`'s response (an attempt
+  /// superseded, expired or given up on): free its lookahead slot. An
+  /// issued round holds its slot until its response is checked, so
+  /// without this every lost response would shrink later fills for good.
+  /// No-op for a request that holds no slot.
+  void retire(const AttestRequest& request);
+
  private:
   /// Next 64-bit word from the buffered DRBG stream (nonces and
   /// challenges). Drawing a 256-byte block per DRBG call instead of 8
@@ -136,6 +153,10 @@ class Verifier {
 
   /// Count a check's verdict in verifier.checks.* and return it.
   bool tally(bool ok) const;
+
+  /// The current reference memory, resolving a pending
+  /// set_reference_source() first.
+  const Bytes& reference() const;
 
   /// (Re)build page_macs_ over the current reference memory.
   void ensure_page_macs();
@@ -177,8 +198,10 @@ class Verifier {
   std::size_t rand_pos_ = rand_buf_.size();  // empty until first draw
   std::unique_ptr<crypto::Mac> mac_;
   std::uint64_t counter_ = 0;
-  std::shared_ptr<const Bytes> reference_memory_ =
+  // Mutable: the const check path resolves a pending reference source.
+  mutable std::shared_ptr<const Bytes> reference_memory_ =
       std::make_shared<const Bytes>();
+  mutable std::function<std::shared_ptr<const Bytes>()> reference_source_;
   // Incremental state: the retained evidence generation and the lazily
   // built per-page tag table over the reference memory (invalidated when
   // the reference pointer changes).

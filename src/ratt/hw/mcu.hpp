@@ -41,6 +41,7 @@ class Mcu {
 
   const Layout& layout() const { return layout_; }
   MemoryBus& bus() { return bus_; }
+  const MemoryBus& bus() const { return bus_; }
   EaMpu& mpu() { return mpu_; }
   InterruptController& irq() { return irq_; }
 

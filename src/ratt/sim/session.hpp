@@ -130,6 +130,10 @@ class AttestationSession {
   void on_round_closed(std::uint64_t round, net::RoundOutcome outcome,
                        std::uint32_t attempts);
   void sync_prover_time();
+  struct Pending;
+  /// The session stops waiting for `p`'s response: free the verifier's
+  /// lookahead slot for it (Verifier::retire).
+  void retire(const Pending& p);
   void publish_pending();
   void observe_round(const char* outcome, double round_trip_ms,
                      double verifier_ms, std::size_t wire_bytes,

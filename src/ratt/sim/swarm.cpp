@@ -106,12 +106,9 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
     crypto::Bytes image_seed(fleet_seed.begin(), fleet_seed.end());
     crypto::append(image_seed, crypto::from_string("ratt::app-image"));
     crypto::HmacDrbg image_drbg(image_seed);
-    auto tmpl = std::make_shared<attest::ProverTemplate>(
+    template_ = std::make_shared<const attest::ProverTemplate>(
         attest::ProverDevice::make_template(config.prover,
                                             image_drbg.generate(16)));
-    shared_reference_ =
-        std::make_shared<const crypto::Bytes>(tmpl->reference_memory);
-    template_ = std::move(tmpl);
   }
 }
 
@@ -161,12 +158,14 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   DeviceSeeds seeds = derive_device_seeds(device_prk_, i);
   d.key = std::move(seeds.key);
 
+  // The prover is manufactured here and secure-boots on first use — in a
+  // pooled drain, on this shard's worker at the device's first delivery.
   if (template_ != nullptr) {
-    d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
-                                                      *template_);
+    d.prover = std::make_unique<attest::ProverDevice>(
+        config_.prover, d.key, *template_, attest::kDeferBoot);
   } else {
-    d.prover = std::make_unique<attest::ProverDevice>(config_.prover, d.key,
-                                                      seeds.app);
+    d.prover = std::make_unique<attest::ProverDevice>(
+        config_.prover, d.key, seeds.app, attest::kDeferBoot);
   }
 
   attest::Verifier::Config vc;
@@ -177,10 +176,12 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   attest::ProverDevice* prover_ptr = d.prover.get();
   vc.clock = [prover_ptr] { return prover_ptr->ground_truth_ticks(); };
   d.verifier = std::make_unique<attest::Verifier>(d.key, vc, seeds.verifier);
-  if (shared_reference_ != nullptr) {
-    d.verifier->set_reference_memory(shared_reference_);
+  if (template_ != nullptr) {
+    d.verifier->set_reference_memory(template_->reference_memory);
   } else {
-    d.verifier->set_reference_memory(d.prover->reference_memory());
+    // Resolved at the first check, which follows the prover's boot.
+    d.verifier->set_reference_source(
+        [prover_ptr] { return prover_ptr->image_reference(); });
   }
   if (config_.mac_batch) {
     d.verifier->set_batch_engine(&shard.batch);
@@ -412,7 +413,11 @@ SwarmReport Swarm::report(double horizon_ms) const {
     dr.device = i;
     if (devices_[i] != nullptr) {
       dr.stats = devices_[i]->session->stats();
-      dr.attest_device_ms = devices_[i]->prover->anchor().total_device_ms();
+      // A prover that never booted never attested (and must not boot
+      // just to say so).
+      attest::ProverDevice& prover = *devices_[i]->prover;
+      dr.attest_device_ms =
+          prover.booted() ? prover.anchor().total_device_ms() : 0.0;
       dr.duty_fraction =
           horizon_ms > 0.0 ? dr.attest_device_ms / horizon_ms : 0.0;
     }
@@ -433,7 +438,7 @@ Swarm::ResidentReport Swarm::resident() const {
     r.devices += shard->devices.size();
     r.arena_bytes += shard->devices.size() * kComponentBytes;
     for (const Device& d : shard->devices) {
-      const hw::MemoryBus& bus = d.prover->mcu().bus();
+      const hw::MemoryBus& bus = d.prover->peek_mcu().bus();
       // Pages aliased from the fleet template are physically one copy;
       // count them once below instead of once per device.
       r.bus_bytes += bus.resident_bytes() - bus.shared_resident_bytes();

@@ -29,10 +29,16 @@
 //     app and verifier seeds are derived right then, on the owning shard's
 //     worker, as a pure function of (fleet seed, device id, purpose) — see
 //     derive_device_seeds() — so they never depend on the shard plan, the
-//     thread count or which devices wake first. A cold device costs one
-//     pointer slot (plus 32 B of pre-drawn link/jitter seeds with
-//     ratt::net); a materialized one owns its components through
-//     unique_ptrs (see resident() for the accounting).
+//     thread count or which devices wake first. The prover is only
+//     manufactured there; it secure-boots at its first use (its first
+//     delivery, inside a drain on the shard that owns it), and the
+//     verifier takes the booted image's reference at its first check. So
+//     priming a fleet from the calling thread (taps, first requests)
+//     leaves every image build, vendor sign and verify and boot digest to
+//     the pool. A cold device costs one pointer slot (plus 32 B of
+//     pre-drawn link/jitter seeds with ratt::net); a materialized one
+//     owns its components through unique_ptrs (see resident() for the
+//     accounting).
 //   * Shared templates (SwarmConfig::share_app_image): one vendor-signed
 //     boot image + one verifier reference copy for the whole fleet, with
 //     secure boot's signature check and image digest memoized
@@ -164,8 +170,15 @@ class Swarm {
   // materialization notes above) — cheap no-ops once it exists. Every
   // accessor taking a device index throws std::out_of_range unless
   // index < size().
+
+  /// Device i's prover, booted: a cold prover secure-boots here, on the
+  /// calling thread. channel(), session(), report() and resident() never
+  /// boot one — a device first driven inside a drain boots on its
+  /// shard's worker.
   attest::ProverDevice& prover(std::size_t i) {
-    return *materialize(i).prover;
+    attest::ProverDevice& p = *materialize(i).prover;
+    (void)p.boot_status();  // boots a cold prover
+    return p;
   }
   Channel& channel(std::size_t i) { return *materialize(i).channel; }
   AttestationSession& session(std::size_t i) {
@@ -186,6 +199,11 @@ class Swarm {
     return devices_[i] != nullptr;
   }
   std::size_t materialized_count() const;
+  /// Has device i's prover secure-booted yet? (Pure query — never
+  /// materializes or boots; false for a cold device.)
+  bool is_booted(std::size_t i) const {
+    return is_materialized(i) && devices_[i]->prover->booted();
+  }
 
   // Observer plan: every shard holds the obs::Observer its devices get
   // (registry, sink, profile). The attach_* calls below re-point the
@@ -380,7 +398,6 @@ class Swarm {
   std::vector<std::uint8_t> net_seeds_;
   /// Shared boot image + verifier reference (share_app_image mode).
   std::shared_ptr<const attest::ProverTemplate> template_;
-  std::shared_ptr<const crypto::Bytes> shared_reference_;
   /// Largest horizon schedule() has seen — caps the lazy chains and
   /// sizes the drain budget.
   double scheduled_horizon_ms_ = 0.0;

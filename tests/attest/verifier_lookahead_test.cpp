@@ -6,6 +6,7 @@
 // verifier.batch.* counters must read as verifier.hpp documents.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "ratt/attest/verifier.hpp"
@@ -145,6 +146,62 @@ TEST_P(VerifierLookahead, NeverCheckedRounds) {
   EXPECT_EQ(lanes(), 9.0);
   EXPECT_EQ(hits(), 2.0);
   EXPECT_EQ(misses(), 0.0);
+}
+
+TEST_P(VerifierLookahead, RetiredRoundsFreeTheirSlots) {
+  // Eight issued rounds the caller gives up on (lost, expired, or
+  // superseded by a retry) release their slots through retire(): the
+  // next fill draws all eight lanes again and every round hits.
+  AttestRequest lost;
+  for (int i = 0; i < 8; ++i) {
+    lost = request();
+    scalar_.retire(lost);
+    batched_.retire(lost);
+  }
+  // Retiring a request that holds no slot (already retired, or never
+  // issued by the pipeline) changes nothing.
+  batched_.retire(lost);
+  AttestRequest stray = lost;
+  stray.challenge ^= 1;
+  batched_.retire(stray);
+  for (int i = 0; i < 8; ++i) {
+    const AttestRequest req = request();
+    EXPECT_TRUE(check(req, honest(req, ref_a_))) << i;
+  }
+  EXPECT_EQ(fills(), 2.0);
+  EXPECT_EQ(lanes(), 16.0);
+  EXPECT_EQ(hits(), 8.0);
+  EXPECT_EQ(misses(), 0.0);
+}
+
+TEST_P(VerifierLookahead, ReferenceSourceResolvesAtFirstCheck) {
+  // A lazy reference source runs once, at the first check that reads
+  // the reference — not at set time, not for request building.
+  int calls = 0;
+  const auto source = [&calls, this] {
+    ++calls;
+    return std::make_shared<const crypto::Bytes>(ref_b_);
+  };
+  scalar_.set_reference_source(source);
+  batched_.set_reference_source(source);
+  std::vector<AttestRequest> reqs;
+  for (int i = 0; i < 3; ++i) reqs.push_back(request());
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(check(reqs[0], honest(reqs[0], ref_b_)));
+  EXPECT_EQ(calls, 2);  // once per verifier
+  EXPECT_FALSE(check(reqs[1], honest(reqs[1], ref_a_)));
+  EXPECT_TRUE(check(reqs[2], honest(reqs[2], ref_b_)));
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(hits(), 3.0);
+  EXPECT_EQ(misses(), 0.0);
+  // A source set after tags were computed is a reference swap: the
+  // already-tagged rounds miss and recompute over the new reference.
+  scalar_.set_reference_source(source);
+  batched_.set_reference_source(source);
+  const AttestRequest req = request();
+  EXPECT_TRUE(check(req, honest(req, ref_b_)));
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(misses(), 1.0);
 }
 
 TEST_P(VerifierLookahead, ReferenceSwapBeforeFirstCheck) {

@@ -9,23 +9,31 @@
 // values (round and event counts, trace record counts and the FNV-1a of
 // the merged JSONL) are pinned here.
 //
-//   * replay flood, 256 devices, 1 vs 4 vs 8 threads;
+//   * replay flood, 256 devices, 1 vs 4 vs 8 threads, and provers booted
+//     on the calling thread vs at first delivery on the shard workers;
 //   * periodic fleet, multi-buffer MAC batching vs scalar verifier MACs
 //     at 512 x 4, 512 x 8 and 4096 x 4 (devices x threads);
 //   * replay flood, 64 devices at 4 threads, bulk vs per-byte bus;
 //   * incremental periodic fleet, 1024 devices, 1 vs 4 threads;
 //   * periodic fleet, 4096 devices, lazy chains at 4 threads vs the
 //     eager reference plant at 1 thread.
+//
+// Two more cases check where work runs rather than what it outputs: a
+// primed replay flood boots no prover before run_all() and every one on
+// its shard's worker inside it, and a lossy reliable fleet keeps >= 90%
+// of its valid checks on the verifier's lookahead pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fleet_oracles.hpp"
 #include "ratt/obs/metrics.hpp"
+#include "ratt/obs/pool.hpp"
 #include "ratt/obs/trace.hpp"
 #include "ratt/sim/swarm.hpp"
 
@@ -90,10 +98,15 @@ void expect_identical(const FleetRun& a, const FleetRun& b) {
 
 // bench_swarm_dos --devices=N --threads=T: per-device boot images, phase
 // I records one genuine request per link (untraced; its run_all drains
-// the shards on the pool), phase II replays it 20x per device under
-// sharded tracing.
+// the shards on the pool, and each prover secure-boots there at its first
+// delivery), phase II replays it 20x per device under sharded tracing.
+struct ReplayPlan {
+  bool per_byte_bus = false;  // reference bus path (boots on the caller)
+  bool boot_on_caller = false;  // boot every prover in phase I's loop
+};
+
 FleetRun replay_flood(std::size_t devices, std::size_t threads,
-                      bool per_byte_bus = false) {
+                      ReplayPlan plan = {}) {
   SwarmConfig config;
   config.device_count = devices;
   config.prover.scheme = attest::FreshnessScheme::kCounter;
@@ -107,7 +120,10 @@ FleetRun replay_flood(std::size_t devices, std::size_t threads,
   std::vector<RecordingTap> taps(devices);
   for (std::size_t i = 0; i < devices; ++i) {
     swarm.channel(i).set_tap(&taps[i]);
-    if (per_byte_bus) swarm.prover(i).mcu().bus().set_bulk_enabled(false);
+    if (plan.per_byte_bus) {
+      swarm.prover(i).mcu().bus().set_bulk_enabled(false);
+    }
+    if (plan.boot_on_caller) (void)swarm.prover(i);
     swarm.session(i).send_request();
   }
   swarm.run_all();
@@ -187,6 +203,113 @@ TEST(FleetByteCompare, ReplayFloodIdenticalAt1And4And8Threads) {
     SCOPED_TRACE("8 threads");
     expect_identical(replay_flood(256, 8), t1);
   }
+  {
+    SCOPED_TRACE("every prover booted on the calling thread");
+    expect_identical(replay_flood(256, 4, {.boot_on_caller = true}), t1);
+  }
+}
+
+TEST(FleetPooledBoot, ReplayFloodBootsOnShardWorkers) {
+  // Phase I of the replay flood primes every device from the calling
+  // thread — tap, first request — without booting one; run_all() then
+  // boots each prover at its first delivery, on the worker draining its
+  // shard. Two probe events per shard bracket that delivery (t = 0 and
+  // t = 2.5 ms; the channel latency is 2 ms) and record their thread.
+  constexpr std::size_t kDevices = 256;
+  constexpr std::size_t kPerShard = kDevices / kShards;
+  SwarmConfig config;
+  config.device_count = kDevices;
+  config.prover.measured_bytes = 16 * 1024;
+  config.shard_count = kShards;
+  Swarm swarm(config, crypto::from_string(kFleetSeed));
+  std::vector<RecordingTap> taps(kDevices);
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    swarm.channel(i).set_tap(&taps[i]);
+    swarm.session(i).send_request();
+  }
+  // Reports and footprint accounting read cold provers without booting
+  // them: an unbooted prover has attested for 0 device ms.
+  EXPECT_EQ(swarm.report(1000.0).total_attest_ms(), 0.0);
+  EXPECT_EQ(swarm.resident().devices, kDevices);
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    ASSERT_TRUE(swarm.is_materialized(i));
+    ASSERT_FALSE(swarm.is_booted(i)) << i;
+  }
+
+  struct Probe {
+    std::thread::id before, after;
+    std::size_t booted_before = 0, booted_after = 0;
+  };
+  std::vector<Probe> probes(kShards);
+  const auto booted = [&swarm](std::size_t s) {
+    std::size_t n = 0;
+    for (std::size_t i = s * kPerShard; i < (s + 1) * kPerShard; ++i) {
+      n += swarm.is_booted(i) ? 1 : 0;
+    }
+    return n;
+  };
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EventQueue& q = swarm.queue_of(s * kPerShard);
+    q.schedule_at(0.0, [&, s] {
+      probes[s].before = std::this_thread::get_id();
+      probes[s].booted_before = booted(s);
+    });
+    q.schedule_at(2.5, [&, s] {
+      probes[s].after = std::this_thread::get_id();
+      probes[s].booted_after = booted(s);
+    });
+  }
+  ASSERT_EQ(swarm.run_all(), 0u);
+
+  std::vector<std::thread::id> workers;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    SCOPED_TRACE(s);
+    EXPECT_EQ(probes[s].booted_before, 0u);
+    EXPECT_EQ(probes[s].booted_after, kPerShard);
+    EXPECT_EQ(probes[s].before, probes[s].after);
+    workers.push_back(probes[s].before);
+  }
+  std::sort(workers.begin(), workers.end());
+  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  EXPECT_LE(workers.size(), obs::tail_workers(kShards));
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    EXPECT_TRUE(swarm.is_booted(i)) << i;
+    EXPECT_EQ(taps[i].recorded_to_prover().size(), 1u) << i;
+  }
+  const SwarmReport report = swarm.report(0.0);
+  EXPECT_EQ(report.total_valid(), kDevices);
+}
+
+TEST(FleetBatch, LossyReliableFleetStaysOnTheLookaheadPipeline) {
+  // Lost and retried attempts release their lookahead slots when the
+  // session stops waiting for them, so a lossy fleet keeps checking
+  // through the pipeline instead of drifting onto scalar MACs.
+  SwarmConfig config;
+  config.device_count = 512;
+  config.shard_count = kShards;
+  config.prover.measured_bytes = 1024;
+  config.attest_period_ms = 250.0;
+  config.stagger_ms = 0.5;
+  config.share_app_image = true;
+  config.link = net::lossy10_link();
+  config.reliable = true;
+  config.retry.max_attempts = 4;
+  config.retry.base_timeout_ms = 0.0;  // derived
+  config.retry.jitter_ms = 5.0;
+  Swarm swarm(config, crypto::from_string(kFleetSeed));
+  obs::Registry registry;
+  swarm.attach_observer(&registry, nullptr);
+  const SwarmReport report = swarm.run_parallel(16000.0, 4);
+  EXPECT_EQ(report.events_leftover, 0u);
+  const double valid = counter_value(registry, "verifier.checks.valid");
+  const double hits = counter_value(registry, "verifier.batch.hits");
+  const double fills = counter_value(registry, "verifier.batch.fills");
+  const double lanes = counter_value(registry, "verifier.batch.lanes");
+  EXPECT_GT(valid, 30000.0);
+  EXPECT_GT(counter_value(registry, "net.retransmits"), 1000.0);
+  EXPECT_GE(hits, 0.9 * valid) << hits << " hits of " << valid;
+  ASSERT_GT(fills, 0.0);
+  EXPECT_GT(lanes / fills, 3.1) << lanes << " lanes in " << fills;
 }
 
 TEST(FleetByteCompare, BatchedMatchesScalar512Devices4Threads) {
@@ -214,7 +337,7 @@ TEST(FleetByteCompare, BulkBusMatchesPerByteBus64Devices4Threads) {
   const FleetRun bulk = replay_flood(64, 4);
   EXPECT_EQ(bulk.replays_rejected, 64u * 20u);
   EXPECT_FALSE(bulk.jsonl.empty());
-  expect_identical(replay_flood(64, 4, /*per_byte_bus=*/true), bulk);
+  expect_identical(replay_flood(64, 4, {.per_byte_bus = true}), bulk);
 }
 
 TEST(FleetByteCompare, IncrementalFleetIdenticalAt1And4Threads) {

@@ -262,6 +262,9 @@ const std::vector<Fleet>& fleets() {
        nullptr,
        {"71db07ce67a44a7f", "74e392fb6ce07103",
         "5d998c9048ddeffd", "77ca72b2746bb43d"}},
+      // The two reliable fleets' registry pins moved only in their
+      // verifier.batch.* lines when superseded and unreachable attempts
+      // began releasing their lookahead slots (Verifier::retire).
       {"reliable_lossy10",
        [](SwarmConfig& c) {
          c.link = net::lossy10_link();
@@ -270,7 +273,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"20f578dbe16e6232", "c65efcf7d04ea8e7",
-        "3146a68391c3ce17", "48979f96ffa093cc"}},
+        "4e70438fe4349fb1", "48979f96ffa093cc"}},
       {"reliable_hostile",
        [](SwarmConfig& c) {
          c.link = net::hostile_link();
@@ -279,7 +282,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"3542fcd38a5c1257", "57e06e8363ef71eb",
-        "cb1ac6a7d2ca0b22", "f1c8b3ea1c6b8f35"}},
+        "eb1a0479ac544d0c", "f1c8b3ea1c6b8f35"}},
       {"inc_dirty_pages",
        [](SwarmConfig& c) {
          c.prover.enable_incremental = true;
