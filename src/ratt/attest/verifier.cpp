@@ -94,48 +94,44 @@ bool Verifier::batchable() const {
 }
 
 void Verifier::fill_pipeline() {
-  const std::size_t lanes =
-      static_cast<std::size_t>(VerifierBatch::kLanes) - issued_count_;
-  if (lanes == 0) return;
-  // Draw each future round's freshness/challenge exactly as the scalar
-  // path would, in order; counter_ itself advances only when an entry is
-  // actually popped, so counter() never runs ahead. (batchable()
-  // excludes timestamps, so no draw here reads the clock.)
-  PipeEntry* fresh[VerifierBatch::kLanes];
+  static_assert(kWindow <= VerifierBatch::kLanes, "one wave per window");
+  // Draw the next rounds' freshness/challenge exactly as the scalar
+  // path would, in order, over the rounds issued before them; counter_
+  // itself advances only as each round is issued, so counter() never
+  // runs ahead. (batchable() excludes timestamps, so no draw here reads
+  // the clock.)
   std::uint64_t ctr = counter_;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    PipeEntry& e = pend_[(pend_head_ + pend_count_) & 7];
+  for (PipeEntry& e : window_) {
     e.freshness = draw_freshness(ctr);
     e.challenge = next_word();
-    e.ref_src = nullptr;
-    fresh[k] = &e;
-    ++pend_count_;
+    e.state = PipeEntry::kDrawn;
   }
+  next_ = 0;
 
   // Wave 1: request-authentication MACs over the 19-byte headers.
   if (config_.authenticate_requests) {
     crypto::MacBatch& mb = batch_->engine();
     mb.set_key_all(key_);
-    std::uint8_t headers[VerifierBatch::kLanes][AttestRequest::kHeaderSize];
-    crypto::MacBatch::LaneMsg msgs[VerifierBatch::kLanes];
-    std::uint8_t tags[VerifierBatch::kLanes][crypto::MacBatch::kTagSize];
+    std::uint8_t headers[kWindow][AttestRequest::kHeaderSize];
+    crypto::MacBatch::LaneMsg msgs[kWindow];
+    std::uint8_t tags[kWindow][crypto::MacBatch::kTagSize];
     AttestRequest proto;
     proto.scheme = config_.scheme;
     proto.mac_alg = config_.mac_alg;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      proto.freshness = fresh[k]->freshness;
-      proto.challenge = fresh[k]->challenge;
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      proto.freshness = window_[k].freshness;
+      proto.challenge = window_[k].challenge;
       proto.header_into(headers[k]);
       msgs[k] = {ByteView(headers[k], AttestRequest::kHeaderSize),
                  ByteView()};
     }
-    mb.compute_many(msgs, lanes, tags);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      std::memcpy(fresh[k]->req_mac, tags[k], crypto::MacBatch::kTagSize);
+    mb.compute_many(msgs, kWindow, tags);
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      std::memcpy(window_[k].req_mac, tags[k], crypto::MacBatch::kTagSize);
     }
   }
 
-  batch_->note_fill(lanes);
+  batch_->note_fill(kWindow);
 }
 
 const Bytes& Verifier::reference() const {
@@ -149,40 +145,40 @@ const Bytes& Verifier::reference() const {
 void Verifier::fill_expected() const {
   // Wave 2, deferred from fill_pipeline to the first check that needs a
   // tag: the expected measurements over challenge || freshness ||
-  // reference memory for every drawn entry (issued or still pending)
-  // that has none yet. Every lane streams the shared reference as its
-  // tail — no concatenated copies.
-  PipeEntry* lacking[VerifierBatch::kLanes];
+  // reference memory for every drawn round (issued or not) that has
+  // none yet. Every lane streams the shared reference as its tail — no
+  // concatenated copies.
+  PipeEntry* lacking[kWindow];
   std::size_t lanes = 0;
-  for (std::uint8_t i = 0; i < issued_count_; ++i) {
-    if (issued_[i].ref_src == nullptr) lacking[lanes++] = &issued_[i];
+  for (PipeEntry& e : window_) {
+    if (e.state == PipeEntry::kDrawn) lacking[lanes++] = &e;
   }
-  for (std::uint8_t k = 0; k < pend_count_; ++k) {
-    PipeEntry& e = pend_[(pend_head_ + k) & 7];
-    if (e.ref_src == nullptr) lacking[lanes++] = &e;
-  }
-  const Bytes* ref = &reference();
-  std::uint8_t heads[VerifierBatch::kLanes][16];
-  crypto::MacBatch::LaneMsg msgs[VerifierBatch::kLanes];
-  std::uint8_t tags[VerifierBatch::kLanes][crypto::MacBatch::kTagSize];
+  const Bytes& ref = reference();
+  std::uint8_t heads[kWindow][16];
+  crypto::MacBatch::LaneMsg msgs[kWindow];
+  std::uint8_t tags[kWindow][crypto::MacBatch::kTagSize];
   for (std::size_t k = 0; k < lanes; ++k) {
     crypto::store_le64(heads[k], lacking[k]->challenge);
     crypto::store_le64(heads[k] + 8, lacking[k]->freshness);
-    msgs[k] = {ByteView(heads[k], 16), ByteView(*ref)};
+    msgs[k] = {ByteView(heads[k], 16), ByteView(ref)};
   }
   crypto::MacBatch& mb = batch_->engine();
   mb.set_key_all(key_);
   mb.compute_many(msgs, lanes, tags);
   for (std::size_t k = 0; k < lanes; ++k) {
     std::memcpy(lacking[k]->expected, tags[k], crypto::MacBatch::kTagSize);
-    lacking[k]->ref_src = ref;
+    lacking[k]->state = PipeEntry::kTagged;
   }
 }
 
-const Verifier::PipeEntry& Verifier::pop_pipeline() {
-  const PipeEntry& e = pend_[pend_head_];
-  pend_head_ = (pend_head_ + 1) & 7;
-  --pend_count_;
+void Verifier::clear_tags() {
+  for (PipeEntry& e : window_) {
+    if (e.state == PipeEntry::kTagged) e.state = PipeEntry::kDrawn;
+  }
+}
+
+Verifier::PipeEntry& Verifier::pop_pipeline() {
+  PipeEntry& e = window_[next_++];
   if (config_.scheme == FreshnessScheme::kCounter) ++counter_;
   return e;
 }
@@ -193,17 +189,14 @@ AttestRequest Verifier::make_request() {
   req.scheme = config_.scheme;
   req.mac_alg = config_.mac_alg;
   if (batchable()) {
-    if (pend_count_ == 0) fill_pipeline();
-    if (pend_count_ > 0) {
-      const PipeEntry& e = pop_pipeline();
-      req.freshness = e.freshness;
-      req.challenge = e.challenge;
-      if (config_.authenticate_requests) {
-        req.mac.assign(e.req_mac, e.req_mac + crypto::MacBatch::kTagSize);
-      }
-      issued_[issued_count_++] = e;
-      return req;
+    if (next_ == kWindow) fill_pipeline();
+    const PipeEntry& e = pop_pipeline();
+    req.freshness = e.freshness;
+    req.challenge = e.challenge;
+    if (config_.authenticate_requests) {
+      req.mac.assign(e.req_mac, e.req_mac + crypto::MacBatch::kTagSize);
     }
+    return req;
   }
   req.freshness = draw_freshness(counter_);
   req.challenge = next_word();
@@ -213,29 +206,21 @@ AttestRequest Verifier::make_request() {
   return req;
 }
 
-void Verifier::retire(const AttestRequest& request) {
-  for (std::uint8_t i = 0; i < issued_count_; ++i) {
-    if (issued_[i].freshness == request.freshness &&
-        issued_[i].challenge == request.challenge) {
-      issued_[i] = issued_[--issued_count_];
-      return;
-    }
-  }
-}
-
 IncAttestRequest Verifier::make_incremental_request() {
   if (obs_requests_ != nullptr) obs_requests_->inc();
   IncAttestRequest req;
   req.scheme = config_.scheme;
   req.mac_alg = config_.mac_alg;
   req.since_gen = retained_gen_;
-  if (batchable() && pend_count_ > 0) {
-    // Consume the oldest precomputed draw so the freshness/challenge
-    // stream stays in scalar order; the 28-byte incremental header MACs
-    // scalar (its since_gen is not known at fill time).
-    const PipeEntry& e = pop_pipeline();
+  if (batchable() && next_ < kWindow) {
+    // Consume the next drawn round so the freshness/challenge stream
+    // stays in scalar order; the 28-byte incremental header MACs scalar
+    // (its since_gen is not known at fill time), and the slot is emptied
+    // so no wave ever tags it.
+    PipeEntry& e = pop_pipeline();
     req.freshness = e.freshness;
     req.challenge = e.challenge;
+    e.state = PipeEntry::kEmpty;
   } else {
     req.freshness = draw_freshness(counter_);
     req.challenge = next_word();
@@ -255,27 +240,22 @@ bool Verifier::check_response(const AttestRequest& request,
                               const AttestResponse& response) const {
   if (response.freshness != request.freshness) return tally(false);
   if (batch_ != nullptr) {
-    for (std::uint8_t i = 0; i < issued_count_; ++i) {
-      const PipeEntry& e = issued_[i];
-      if (e.freshness != request.freshness ||
+    // Newest first: an answer most often belongs to the round issued last.
+    for (int k = 0; k < kWindow; ++k) {
+      const PipeEntry& e = window_[(next_ + kWindow - 1 - k) % kWindow];
+      if (e.state == PipeEntry::kEmpty || e.freshness != request.freshness ||
           e.challenge != request.challenge) {
         continue;
       }
-      if (e.ref_src == nullptr) fill_expected();
-      std::uint8_t expected[crypto::MacBatch::kTagSize];
-      std::memcpy(expected, e.expected, sizeof(expected));
-      const bool fresh_ref = e.ref_src == &reference();
-      issued_[i] = issued_[--issued_count_];
-      if (fresh_ref) {
-        batch_->note_hit();
-        return tally(crypto::ct_equal(ByteView(expected, sizeof(expected)),
-                                      response.measurement));
-      }
-      // The reference changed after this round was precomputed; its
-      // expected tag is stale — recompute scalar below.
-      batch_->note_miss();
-      break;
+      if (e.state == PipeEntry::kDrawn) fill_expected();
+      batch_->note_hit();
+      return tally(crypto::ct_equal(
+          ByteView(e.expected, crypto::MacBatch::kTagSize),
+          response.measurement));
     }
+    // Not in the window (overwritten by a later fill, or never drawn by
+    // it): recompute scalar below.
+    batch_->note_miss();
   }
   // Recompute the expected measurement over the reference memory,
   // streamed — no challenge||freshness||memory copy per check.

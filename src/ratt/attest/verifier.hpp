@@ -55,6 +55,7 @@ class Verifier {
   void set_reference_memory(std::shared_ptr<const Bytes> memory) {
     reference_memory_ = std::move(memory);
     reference_source_ = nullptr;
+    clear_tags();
   }
 
   /// Lazy variant: `source` runs once, on the first read of the
@@ -64,6 +65,7 @@ class Verifier {
   void set_reference_source(
       std::function<std::shared_ptr<const Bytes>()> source) {
     reference_source_ = std::move(source);
+    clear_tags();
   }
 
   /// Validate a response to `request` (the verifier recomputes the MAC
@@ -112,33 +114,28 @@ class Verifier {
   /// Attach (or detach, with nullptr) a shared multi-buffer MAC engine.
   /// When attached — and the configuration is batchable (HMAC-SHA1,
   /// freshness that does not read a live clock) — make_request() and
-  /// check_response() are served from a precomputed lookahead pipeline
-  /// of up to VerifierBatch::kLanes future rounds. A fill draws the
-  /// rounds and MACs their request headers in one multi-buffer wave; the
+  /// check_response() are served from a lookahead window of
+  /// VerifierBatch::kLanes rounds. Once every drawn round has been
+  /// issued, the next make_request() draws the next 8 rounds over them
+  /// and MACs their request headers in one multi-buffer wave. The
   /// expected-response tags wait for the first check_response() that
-  /// matches a round without one, which computes every drawn round
-  /// still lacking a tag in one wave over the reference memory current
-  /// at that check. Every observable output (wire bytes, counter(), DRBG
-  /// draw order, telemetry) is byte-identical to the scalar path;
-  /// non-batchable calls fall back to it transparently.
+  /// finds its round untagged, which tags every untagged round in the
+  /// window in one wave over the reference memory current at that check.
+  /// A check finds its round by (freshness, challenge) value; a tag
+  /// depends only on those, the key and the reference, so a round that
+  /// is never answered needs no clean-up — the next fill overwrites it.
+  /// Every observable output (wire bytes, counter(), DRBG draw order,
+  /// telemetry) is byte-identical to the scalar path; non-batchable
+  /// calls fall back to it transparently.
   ///
   /// verifier.batch.* accounting: a fill adds one to `fills` and the
-  /// rounds it drew to `lanes`. A check that matches an issued round
-  /// counts a `hit` when that round's tag was computed over the current
-  /// reference memory, and a `miss` (then recomputes the tag scalar)
-  /// when set_reference_memory() swapped the reference after the tag
-  /// was computed. A swap between a fill and the first check is thus
-  /// still all hits; a swap after it makes the already-tagged rounds
-  /// miss. Checks matching no issued round (scalar-built or forged
-  /// requests) count neither.
+  /// rounds it drew to `lanes`. A check whose freshness echo matches
+  /// counts a `hit` when its round is in the window and a `miss` when it
+  /// recomputes the tag scalar: a late answer to a round a later fill
+  /// overwrote, or a scalar-built or forged request. A reference change
+  /// (set_reference_memory / set_reference_source) clears the window's
+  /// tags, so the next check re-tags over the new reference.
   void set_batch_engine(VerifierBatch* batch) { batch_ = batch; }
-
-  /// The caller stopped waiting for `request`'s response (an attempt
-  /// superseded, expired or given up on): free its lookahead slot. An
-  /// issued round holds its slot until its response is checked, so
-  /// without this every lost response would shrink later fills for good.
-  /// No-op for a request that holds no slot.
-  void retire(const AttestRequest& request);
 
  private:
   /// Next 64-bit word from the buffered DRBG stream (nonces and
@@ -161,35 +158,35 @@ class Verifier {
   /// (Re)build page_macs_ over the current reference memory.
   void ensure_page_macs();
 
-  /// One precomputed future round. Lives in pend_ (drawn but not yet
-  /// issued; FIFO — the entries ARE the next draws of the freshness /
-  /// challenge stream, in order) and then in issued_ (awaiting its
-  /// response; matched by freshness+challenge). `ref_src` records which
-  /// reference memory the expected tag was computed over — nullptr
-  /// until fill_expected() computes it, and a stale pointer downgrades
-  /// that check to the scalar path.
+  /// One round of the lookahead window (slot = draw number mod 8).
+  /// kEmpty never matches a check: not drawn yet, or taken by
+  /// make_incremental_request(), whose rounds are never tagged.
   struct PipeEntry {
     std::uint64_t freshness;
     std::uint64_t challenge;
     std::uint8_t req_mac[20];
     std::uint8_t expected[20];
-    const Bytes* ref_src;
+    enum State : std::uint8_t { kEmpty, kDrawn, kTagged } state;
   };
+  static constexpr std::uint8_t kWindow = 8;
 
   /// True when the attached engine can serve this configuration.
   bool batchable() const;
 
-  /// Draw up to kLanes future rounds and MAC their request headers in
-  /// one multi-buffer wave.
+  /// Draw the next kWindow rounds into the window and MAC their
+  /// request headers in one multi-buffer wave.
   void fill_pipeline();
 
   /// Compute, in one multi-buffer wave over the current reference
   /// memory, the expected tag of every drawn round that has none.
   void fill_expected() const;
 
-  /// Issue the oldest precomputed round (pend_count_ > 0), keeping the
+  /// A reference change: every tagged round goes back to kDrawn.
+  void clear_tags();
+
+  /// Issue the next drawn round (next_ < kWindow), keeping the
   /// freshness/challenge stream in scalar order for both builders.
-  const PipeEntry& pop_pipeline();
+  PipeEntry& pop_pipeline();
 
   Bytes key_;
   Config config_;
@@ -222,16 +219,12 @@ class Verifier {
   obs::power::PowerWitness* power_witness_ = nullptr;
   obs::Counter* obs_power_rounds_ = nullptr;
   obs::Counter* obs_power_violations_ = nullptr;
-  // Lookahead pipeline (see set_batch_engine). pend_ is a FIFO ring;
-  // issued_ is a small unordered set (erase-swap) because responses can
-  // complete out of order under loss/retransmission. Mutable: the
-  // const check_response() consumes matched entries.
+  // Lookahead window (see set_batch_engine); slots [0, next_) are
+  // issued, [next_, kWindow) drawn but not yet issued. Mutable: the
+  // const check_response() tags the window.
   VerifierBatch* batch_ = nullptr;
-  mutable std::array<PipeEntry, 8> pend_{};
-  mutable std::uint8_t pend_head_ = 0;
-  mutable std::uint8_t pend_count_ = 0;
-  mutable std::array<PipeEntry, 8> issued_{};
-  mutable std::uint8_t issued_count_ = 0;
+  mutable std::array<PipeEntry, kWindow> window_{};
+  std::uint8_t next_ = kWindow;
 };
 
 }  // namespace ratt::attest

@@ -5,7 +5,7 @@
 // VerifierBatch per shard gives every Verifier in the shard a shared
 // multi-buffer MacBatch scratch plus batch-occupancy telemetry; the
 // Verifier itself decides what to batch (it precomputes an 8-round
-// lookahead pipeline — see Verifier::fill_pipeline — because a
+// lookahead window — see Verifier::set_batch_engine — because a
 // lazily-materialized fleet rarely has 8 devices on the same tick, but
 // every device always has 8 future rounds whose challenges come from
 // its own deterministic DRBG stream in order).

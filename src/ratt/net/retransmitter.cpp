@@ -76,14 +76,12 @@ std::uint64_t Retransmitter::start_round() {
   round.id = next_round_++;
   rounds_.push_back(std::move(round));
   ++open_;
-  ++stats_.rounds_started;
   send_attempt(rounds_.back());
   return rounds_.back().id;
 }
 
 void Retransmitter::send_attempt(Round& round) {
   const std::uint32_t attempt = ++round.attempts;
-  if (attempt > 1) ++stats_.retransmits;
   const std::uint64_t key = send_(round.id, attempt);
   // `round` may dangle after send_ (a reentrant start_round would grow
   // rounds_); re-find defensively before touching it again.
@@ -109,7 +107,6 @@ void Retransmitter::on_timer(std::uint64_t round_id, std::uint32_t attempt) {
   // timeout) or was pruned. Not a timeout — nothing happened on the wire.
   if (round == nullptr || !round->open) return;
   if (round->attempts != attempt) return;  // a newer attempt owns the timer
-  ++stats_.timeouts;
   if (on_timeout_) on_timeout_(round_id, attempt);
   if (round->attempts >= policy_.max_attempts) {
     close(*round, RoundOutcome::kUnreachable);
@@ -127,11 +124,7 @@ Retransmitter::Hit Retransmitter::lookup(std::uint64_t key) {
         it->keys.end()) {
       continue;
     }
-    if (!it->open) {
-      ++stats_.duplicate_responses;
-      return Hit{Match::kClosed, it->id};
-    }
-    return Hit{Match::kOpen, it->id};
+    return Hit{it->open ? Match::kOpen : Match::kClosed, it->id};
   }
   return Hit{Match::kUnknown, 0};
 }
@@ -145,11 +138,6 @@ void Retransmitter::close_valid(std::uint64_t round_id) {
 void Retransmitter::close(Round& round, RoundOutcome outcome) {
   round.open = false;
   --open_;
-  if (outcome == RoundOutcome::kValid) {
-    ++stats_.rounds_valid;
-  } else {
-    ++stats_.rounds_unreachable;
-  }
   close_(round.id, outcome, round.attempts);
 }
 

@@ -81,17 +81,6 @@ std::string to_string(RoundOutcome outcome);
 
 class Retransmitter {
  public:
-  struct Stats {
-    std::uint64_t rounds_started = 0;
-    std::uint64_t rounds_valid = 0;
-    std::uint64_t rounds_unreachable = 0;
-    std::uint64_t retransmits = 0;          // attempts beyond the first
-    std::uint64_t timeouts = 0;             // attempt timers that expired
-    std::uint64_t duplicate_responses = 0;  // lookups after round close
-
-    friend bool operator==(const Stats&, const Stats&) = default;
-  };
-
   /// Schedule `fire` to run `delay_ms` from now.
   using ScheduleFn =
       std::function<void(double delay_ms, std::function<void()> fire)>;
@@ -131,8 +120,8 @@ class Retransmitter {
   };
 
   /// Which round does a response with this key belong to? A kClosed hit
-  /// increments the duplicate counter (suppression is the caller's only
-  /// obligation: count it, drop it).
+  /// is a duplicate (suppression is the caller's only obligation: count
+  /// it, drop it).
   Hit lookup(std::uint64_t key);
 
   /// The caller validated a response for this (open) round.
@@ -141,7 +130,6 @@ class Retransmitter {
   bool round_open(std::uint64_t round) const;
   std::size_t open_rounds() const { return open_; }
   const RetryPolicy& policy() const { return policy_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Round {
@@ -166,7 +154,6 @@ class Retransmitter {
   std::vector<Round> rounds_;  // open + a bounded tail of closed rounds
   std::uint64_t next_round_ = 0;
   std::size_t open_ = 0;
-  Stats stats_;
 };
 
 }  // namespace ratt::net

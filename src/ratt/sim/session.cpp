@@ -145,12 +145,6 @@ void AttestationSession::sync_prover_time() {
   }
 }
 
-void AttestationSession::retire(const Pending& p) {
-  if (const auto* request = std::get_if<attest::AttestRequest>(&p.request)) {
-    verifier_->retire(*request);
-  }
-}
-
 void AttestationSession::schedule_rounds(double period_ms,
                                          double horizon_ms) {
   if (period_ms <= 0.0) return;
@@ -237,11 +231,8 @@ void AttestationSession::on_round_closed(std::uint64_t round,
                                          net::RoundOutcome outcome,
                                          std::uint32_t attempts) {
   // Superseded attempts of this round no longer await a response.
-  const auto removed = std::erase_if(pending_, [&](const Pending& p) {
-    if (p.round != round) return false;
-    retire(p);
-    return true;
-  });
+  const auto removed = std::erase_if(
+      pending_, [&](const Pending& p) { return p.round == round; });
   if (removed > 0) publish_pending();
   if (outcome == net::RoundOutcome::kUnreachable) {
     ++stats_.rounds_unreachable;
@@ -395,7 +386,6 @@ void AttestationSession::settle(const crypto::Bytes& wire) {
     // Reliable mode keeps a round open past a bad MAC (e.g. corrupted in
     // flight): only this attempt is discarded, and a pending retry can
     // still recover the round.
-    retire(*it);
     pending_.erase(it);
     publish_pending();
   }
@@ -411,7 +401,6 @@ std::size_t AttestationSession::check_timeouts(double timeout_ms) {
       ++expired;
       if (obs_rounds_missing_ != nullptr) obs_rounds_missing_->inc();
       observe_round("missing", -1.0, 0.0, 0, it->round_id, it->attempt);
-      retire(*it);
       it = pending_.erase(it);
     } else {
       ++it;

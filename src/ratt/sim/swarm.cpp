@@ -15,6 +15,14 @@
 
 namespace ratt::sim {
 
+namespace {
+
+/// One-way latency of every device's channel. The reliable fleets'
+/// derived retry timeouts (net::derive_timeout_ms) build on it.
+constexpr double kChannelLatencyMs = 2.0;
+
+}  // namespace
+
 crypto::Bytes device_seed_prk(crypto::ByteView fleet_seed) {
   return crypto::hkdf_extract(crypto::from_string("ratt::swarm-device-v1"),
                               fleet_seed);
@@ -187,8 +195,7 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
     d.verifier->set_batch_engine(&shard.batch);
   }
 
-  d.channel =
-      std::make_unique<Channel>(shard.queue, config_.channel_latency_ms);
+  d.channel = std::make_unique<Channel>(shard.queue, kChannelLatencyMs);
   d.session = std::make_unique<AttestationSession>(shard.queue, *d.channel,
                                                    *d.prover, *d.verifier);
   if (net_mode_) {

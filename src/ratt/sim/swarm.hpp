@@ -72,7 +72,6 @@ struct SwarmConfig {
   /// fleet size — without it, device offsets past the horizon silently
   /// starved high-index devices of attestation.
   double stagger_ms = 37.0;
-  double channel_latency_ms = 2.0;
   /// Shards the fleet is partitioned into (contiguous device blocks,
   /// each with a private EventQueue). 1 — the default — is the legacy
   /// single-queue layout; values are clamped to [1, device_count].

@@ -1,4 +1,4 @@
-// The batched verifier's lookahead pipeline (Verifier::set_batch_engine)
+// The batched verifier's lookahead window (Verifier::set_batch_engine)
 // against the scalar verifier it must be indistinguishable from: two
 // verifiers with one key, config and DRBG seed, one of them served by a
 // VerifierBatch, driven through the same calls. Every request must match
@@ -99,13 +99,13 @@ TEST_P(VerifierLookahead, InOrderChecks) {
     AttestResponse forged = honest(req, ref_a_);
     forged.measurement[3] ^= 0x40;
     EXPECT_FALSE(check(req, forged)) << i;
-    // The forged check consumed the round's pipeline entry, so the
-    // honest one recomputes scalar: neither a hit nor a miss.
+    // A check does not consume the round's slot: the honest answer that
+    // follows the forged one hits it too.
     EXPECT_TRUE(check(req, honest(req, ref_a_))) << i;
   }
   EXPECT_EQ(fills(), 2.0);
   EXPECT_EQ(lanes(), 16.0);
-  EXPECT_EQ(hits(), 12.0);
+  EXPECT_EQ(hits(), 24.0);
   EXPECT_EQ(misses(), 0.0);
 }
 
@@ -125,53 +125,24 @@ TEST_P(VerifierLookahead, OutOfOrderChecks) {
 }
 
 TEST_P(VerifierLookahead, NeverCheckedRounds) {
-  // Eight issued rounds that are never answered occupy every lookahead
-  // slot: the next fill draws nothing, and later rounds go scalar.
+  // Eight issued rounds that are never answered need no clean-up: once
+  // all eight are issued, the next fill draws eight lanes over them and
+  // later rounds hit.
   std::vector<AttestRequest> unanswered;
   for (int i = 0; i < 8; ++i) unanswered.push_back(request());
   for (int i = 0; i < 4; ++i) {
     const AttestRequest req = request();
     EXPECT_TRUE(check(req, honest(req, ref_a_))) << i;
   }
-  EXPECT_EQ(fills(), 1.0);
-  EXPECT_EQ(lanes(), 8.0);
-  EXPECT_EQ(hits(), 0.0);
-  // A late answer to a parked round still hits its entry.
-  EXPECT_TRUE(check(unanswered[6], honest(unanswered[6], ref_a_)));
-  EXPECT_EQ(hits(), 1.0);
-  // That freed one slot: the next round refills one lane.
-  const AttestRequest req = request();
-  EXPECT_TRUE(check(req, honest(req, ref_a_)));
-  EXPECT_EQ(fills(), 2.0);
-  EXPECT_EQ(lanes(), 9.0);
-  EXPECT_EQ(hits(), 2.0);
-  EXPECT_EQ(misses(), 0.0);
-}
-
-TEST_P(VerifierLookahead, RetiredRoundsFreeTheirSlots) {
-  // Eight issued rounds the caller gives up on (lost, expired, or
-  // superseded by a retry) release their slots through retire(): the
-  // next fill draws all eight lanes again and every round hits.
-  AttestRequest lost;
-  for (int i = 0; i < 8; ++i) {
-    lost = request();
-    scalar_.retire(lost);
-    batched_.retire(lost);
-  }
-  // Retiring a request that holds no slot (already retired, or never
-  // issued by the pipeline) changes nothing.
-  batched_.retire(lost);
-  AttestRequest stray = lost;
-  stray.challenge ^= 1;
-  batched_.retire(stray);
-  for (int i = 0; i < 8; ++i) {
-    const AttestRequest req = request();
-    EXPECT_TRUE(check(req, honest(req, ref_a_))) << i;
-  }
   EXPECT_EQ(fills(), 2.0);
   EXPECT_EQ(lanes(), 16.0);
-  EXPECT_EQ(hits(), 8.0);
+  EXPECT_EQ(hits(), 4.0);
   EXPECT_EQ(misses(), 0.0);
+  // A late answer to an overwritten round is checked scalar: the same
+  // verdict as the scalar verifier, counted as one miss.
+  EXPECT_TRUE(check(unanswered[6], honest(unanswered[6], ref_a_)));
+  EXPECT_EQ(hits(), 4.0);
+  EXPECT_EQ(misses(), 1.0);
 }
 
 TEST_P(VerifierLookahead, ReferenceSourceResolvesAtFirstCheck) {
@@ -194,14 +165,19 @@ TEST_P(VerifierLookahead, ReferenceSourceResolvesAtFirstCheck) {
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(hits(), 3.0);
   EXPECT_EQ(misses(), 0.0);
-  // A source set after tags were computed is a reference swap: the
-  // already-tagged rounds miss and recompute over the new reference.
+  // A source set after the tags were computed clears them. The next
+  // check resolves it, once per verifier, and re-tags the window over
+  // it — rounds issued before the set included — so every check hits.
   scalar_.set_reference_source(source);
   batched_.set_reference_source(source);
   const AttestRequest req = request();
+  EXPECT_EQ(calls, 2);
   EXPECT_TRUE(check(req, honest(req, ref_b_)));
   EXPECT_EQ(calls, 4);
-  EXPECT_EQ(misses(), 1.0);
+  EXPECT_TRUE(check(reqs[2], honest(reqs[2], ref_b_)));
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(hits(), 5.0);
+  EXPECT_EQ(misses(), 0.0);
 }
 
 TEST_P(VerifierLookahead, ReferenceSwapBeforeFirstCheck) {
@@ -223,30 +199,33 @@ TEST_P(VerifierLookahead, ReferenceSwapAfterFirstCheck) {
   // The first check tags all eight drawn rounds over ref_a_ ...
   EXPECT_TRUE(check(reqs[0], honest(reqs[0], ref_a_)));
   set_reference(ref_b_);
-  // ... so every tagged round checked after the swap misses and
-  // recomputes scalar over ref_b_.
+  // ... and the swap clears those tags: the next check re-tags the
+  // window over ref_b_, so every later check hits with ref_b_'s verdict,
+  // a re-check of reqs[0] included.
   EXPECT_TRUE(check(reqs[1], honest(reqs[1], ref_b_)));
   EXPECT_FALSE(check(reqs[2], honest(reqs[2], ref_a_)));
-  EXPECT_EQ(hits(), 1.0);
-  EXPECT_EQ(misses(), 2.0);
-  // The five still-pending rounds were tagged too: they miss as well.
+  EXPECT_FALSE(check(reqs[0], honest(reqs[0], ref_a_)));
+  EXPECT_TRUE(check(reqs[0], honest(reqs[0], ref_b_)));
+  EXPECT_EQ(hits(), 5.0);
+  EXPECT_EQ(misses(), 0.0);
+  // The five rounds not yet issued were re-tagged in the same wave.
   for (int i = 0; i < 5; ++i) {
     const AttestRequest req = request();
     EXPECT_TRUE(check(req, honest(req, ref_b_))) << i;
   }
-  EXPECT_EQ(misses(), 7.0);
+  EXPECT_EQ(hits(), 10.0);
   // The next fill's rounds are tagged at their first check, over ref_b_.
   for (int i = 0; i < 3; ++i) {
     const AttestRequest req = request();
     EXPECT_TRUE(check(req, honest(req, ref_b_))) << i;
   }
   EXPECT_EQ(fills(), 2.0);
-  EXPECT_EQ(hits(), 4.0);
-  EXPECT_EQ(misses(), 7.0);
+  EXPECT_EQ(hits(), 13.0);
+  EXPECT_EQ(misses(), 0.0);
 }
 
 TEST_P(VerifierLookahead, IncrementalRequestsConsumePendingDraws) {
-  // Incremental requests take the next pending draw (MAC'd scalar), so
+  // Incremental requests take the next drawn round (MAC'd scalar), so
   // plain and incremental rounds interleave in scalar draw order.
   std::vector<AttestRequest> plain;
   for (int i = 0; i < 10; ++i) {
@@ -256,15 +235,29 @@ TEST_P(VerifierLookahead, IncrementalRequestsConsumePendingDraws) {
       plain.push_back(request());
     }
   }
+  // Draws 0-7 came from the first fill (three of them incremental),
+  // draws 8 and 9 from a second fill of 8 that overwrote the first: its
+  // two rounds hit, the first fill's five plain rounds are checked
+  // scalar.
   for (std::size_t i = plain.size(); i-- > 0;) {
     EXPECT_TRUE(check(plain[i], honest(plain[i], ref_a_))) << i;
   }
-  // Draws 0-7 came from the first fill (three of them incremental);
-  // draws 8 and 9 from a second fill of 8 - 5 issued lanes.
   EXPECT_EQ(fills(), 2.0);
-  EXPECT_EQ(lanes(), 11.0);
-  EXPECT_EQ(hits(), 7.0);
-  EXPECT_EQ(misses(), 0.0);
+  EXPECT_EQ(lanes(), 16.0);
+  EXPECT_EQ(hits(), 2.0);
+  EXPECT_EQ(misses(), 5.0);
+  // A draw taken by an incremental request is never tagged: a plain
+  // check carrying it, while it is still in the window, goes scalar.
+  const IncAttestRequest in_window = incremental_request();
+  AttestRequest as_plain;
+  as_plain.scheme = in_window.scheme;
+  as_plain.mac_alg = in_window.mac_alg;
+  as_plain.freshness = in_window.freshness;
+  as_plain.challenge = in_window.challenge;
+  EXPECT_TRUE(check(as_plain, honest(as_plain, ref_a_)));
+  EXPECT_EQ(fills(), 2.0);
+  EXPECT_EQ(hits(), 2.0);
+  EXPECT_EQ(misses(), 6.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
