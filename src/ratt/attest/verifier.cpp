@@ -6,6 +6,7 @@
 
 #include "ratt/attest/verifier_batch.hpp"
 #include "ratt/crypto/ct.hpp"
+#include "ratt/crypto/sha1xn.hpp"
 
 namespace ratt::attest {
 
@@ -61,8 +62,7 @@ std::vector<std::string> Verifier::grade_power_trace(
 
 std::uint64_t Verifier::next_word() {
   if (rand_pos_ + 8 > rand_buf_.size()) {
-    const Bytes block = drbg_.generate(rand_buf_.size());
-    std::copy(block.begin(), block.end(), rand_buf_.begin());
+    drbg_.generate_into(rand_buf_);
     rand_pos_ = 0;
   }
   const std::uint64_t word = crypto::load_le64(rand_buf_.data() + rand_pos_);
@@ -108,8 +108,10 @@ void Verifier::fill_pipeline() {
   }
   next_ = 0;
 
-  // Wave 1: request-authentication MACs over the 19-byte headers.
-  if (config_.authenticate_requests) {
+  // Wave 1: request-authentication MACs over the 19-byte headers. Where
+  // the lanes run one after another, make_request() MACs each header as
+  // it issues the round instead, so a round never issued costs nothing.
+  if (config_.authenticate_requests && crypto::Sha1xN::lanes_parallel()) {
     crypto::MacBatch& mb = batch_->engine();
     mb.set_key_all(key_);
     std::uint8_t headers[kWindow][AttestRequest::kHeaderSize];
@@ -142,7 +144,30 @@ const Bytes& Verifier::reference() const {
   return *reference_memory_;
 }
 
-void Verifier::fill_expected() const {
+Bytes Verifier::expected_tag(std::uint64_t challenge,
+                             std::uint64_t freshness) const {
+  // Streamed over the reference memory: no challenge || freshness ||
+  // memory copy per tag.
+  const Bytes& ref = reference();
+  mac_->init(16 + ref.size());
+  std::uint8_t head[16];
+  crypto::store_le64(head, challenge);
+  crypto::store_le64(head + 8, freshness);
+  mac_->update(ByteView(head, 16));
+  mac_->update(ref);
+  return mac_->finish();
+}
+
+void Verifier::fill_expected(PipeEntry& read) const {
+  if (!crypto::Sha1xN::lanes_parallel()) {
+    // Lanes would run one after another: a speculative tag costs a full
+    // MAC over the reference, so tag only the round being read.
+    const Bytes tag = expected_tag(read.challenge, read.freshness);
+    std::memcpy(read.expected, tag.data(), crypto::MacBatch::kTagSize);
+    read.state = PipeEntry::kTagged;
+    batch_->note_tags(1);
+    return;
+  }
   // Wave 2, deferred from fill_pipeline to the first check that needs a
   // tag: the expected measurements over challenge || freshness ||
   // reference memory for every drawn round (issued or not) that has
@@ -169,6 +194,7 @@ void Verifier::fill_expected() const {
     std::memcpy(lacking[k]->expected, tags[k], crypto::MacBatch::kTagSize);
     lacking[k]->state = PipeEntry::kTagged;
   }
+  batch_->note_tags(lanes);
 }
 
 void Verifier::clear_tags() {
@@ -193,13 +219,14 @@ AttestRequest Verifier::make_request() {
     const PipeEntry& e = pop_pipeline();
     req.freshness = e.freshness;
     req.challenge = e.challenge;
-    if (config_.authenticate_requests) {
+    if (config_.authenticate_requests && crypto::Sha1xN::lanes_parallel()) {
       req.mac.assign(e.req_mac, e.req_mac + crypto::MacBatch::kTagSize);
+      return req;
     }
-    return req;
+  } else {
+    req.freshness = draw_freshness(counter_);
+    req.challenge = next_word();
   }
-  req.freshness = draw_freshness(counter_);
-  req.challenge = next_word();
   if (config_.authenticate_requests) {
     req.mac = mac_->compute(req.header_bytes());
   }
@@ -242,12 +269,12 @@ bool Verifier::check_response(const AttestRequest& request,
   if (batch_ != nullptr) {
     // Newest first: an answer most often belongs to the round issued last.
     for (int k = 0; k < kWindow; ++k) {
-      const PipeEntry& e = window_[(next_ + kWindow - 1 - k) % kWindow];
+      PipeEntry& e = window_[(next_ + kWindow - 1 - k) % kWindow];
       if (e.state == PipeEntry::kEmpty || e.freshness != request.freshness ||
           e.challenge != request.challenge) {
         continue;
       }
-      if (e.state == PipeEntry::kDrawn) fill_expected();
+      if (e.state == PipeEntry::kDrawn) fill_expected(e);
       batch_->note_hit();
       return tally(crypto::ct_equal(
           ByteView(e.expected, crypto::MacBatch::kTagSize),
@@ -257,16 +284,9 @@ bool Verifier::check_response(const AttestRequest& request,
     // it): recompute scalar below.
     batch_->note_miss();
   }
-  // Recompute the expected measurement over the reference memory,
-  // streamed — no challenge||freshness||memory copy per check.
-  const Bytes& ref = reference();
-  mac_->init(16 + ref.size());
-  std::uint8_t head[16];
-  crypto::store_le64(head, request.challenge);
-  crypto::store_le64(head + 8, request.freshness);
-  mac_->update(ByteView(head, 16));
-  mac_->update(ref);
-  return tally(crypto::ct_equal(mac_->finish(), response.measurement));
+  return tally(crypto::ct_equal(
+      expected_tag(request.challenge, request.freshness),
+      response.measurement));
 }
 
 void Verifier::ensure_page_macs() {

@@ -116,25 +116,33 @@ class Verifier {
   /// freshness that does not read a live clock) — make_request() and
   /// check_response() are served from a lookahead window of
   /// VerifierBatch::kLanes rounds. Once every drawn round has been
-  /// issued, the next make_request() draws the next 8 rounds over them
-  /// and MACs their request headers in one multi-buffer wave. The
-  /// expected-response tags wait for the first check_response() that
-  /// finds its round untagged, which tags every untagged round in the
-  /// window in one wave over the reference memory current at that check.
+  /// issued, the next make_request() draws the next 8 rounds over them.
   /// A check finds its round by (freshness, challenge) value; a tag
   /// depends only on those, the key and the reference, so a round that
   /// is never answered needs no clean-up — the next fill overwrites it.
-  /// Every observable output (wire bytes, counter(), DRBG draw order,
-  /// telemetry) is byte-identical to the scalar path; non-batchable
-  /// calls fall back to it transparently.
+  ///
+  /// What is MAC'd when depends on crypto::Sha1xN::lanes_parallel():
+  ///  - lanes parallel (AVX2/portable SHA-1): the fill MACs all 8 request
+  ///    headers in one multi-buffer wave, and the first check_response()
+  ///    that finds its round untagged tags every untagged round in the
+  ///    window in one wave over the reference memory current then;
+  ///  - lanes sequential (SHA-NI): a speculative lane costs a full MAC,
+  ///    so make_request() MACs the header of the round it issues, and
+  ///    a check tags only the round it reads. A round drawn and never
+  ///    read is never tagged.
+  /// Either way the draws, the window and its accounting are the same,
+  /// and every observable output (wire bytes, counter(), DRBG draw
+  /// order, telemetry) is byte-identical to the scalar path;
+  /// non-batchable calls fall back to it transparently.
   ///
   /// verifier.batch.* accounting: a fill adds one to `fills` and the
-  /// rounds it drew to `lanes`. A check whose freshness echo matches
-  /// counts a `hit` when its round is in the window and a `miss` when it
-  /// recomputes the tag scalar: a late answer to a round a later fill
-  /// overwrote, or a scalar-built or forged request. A reference change
-  /// (set_reference_memory / set_reference_source) clears the window's
-  /// tags, so the next check re-tags over the new reference.
+  /// rounds it drew to `lanes` — rounds drawn, not MACs computed (those
+  /// are VerifierBatch::tags_computed()). A check whose freshness echo
+  /// matches counts a `hit` when its round is in the window and a `miss`
+  /// when it recomputes the tag scalar: a late answer to a round a later
+  /// fill overwrote, or a scalar-built or forged request. A reference
+  /// change (set_reference_memory / set_reference_source) clears the
+  /// window's tags, so later checks re-tag over the new reference.
   void set_batch_engine(VerifierBatch* batch) { batch_ = batch; }
 
  private:
@@ -160,7 +168,9 @@ class Verifier {
 
   /// One round of the lookahead window (slot = draw number mod 8).
   /// kEmpty never matches a check: not drawn yet, or taken by
-  /// make_incremental_request(), whose rounds are never tagged.
+  /// make_incremental_request(), whose rounds are never tagged. req_mac
+  /// is filled by the fill's header wave only where lanes run in
+  /// parallel; `expected` is valid in kTagged.
   struct PipeEntry {
     std::uint64_t freshness;
     std::uint64_t challenge;
@@ -173,13 +183,19 @@ class Verifier {
   /// True when the attached engine can serve this configuration.
   bool batchable() const;
 
-  /// Draw the next kWindow rounds into the window and MAC their
-  /// request headers in one multi-buffer wave.
+  /// Draw the next kWindow rounds into the window and, where lanes run
+  /// in parallel, MAC their request headers in one multi-buffer wave.
   void fill_pipeline();
 
-  /// Compute, in one multi-buffer wave over the current reference
-  /// memory, the expected tag of every drawn round that has none.
-  void fill_expected() const;
+  /// Tag `read`, the untagged round a check just matched, over the
+  /// current reference memory. Where lanes run in parallel, every drawn
+  /// round without a tag is tagged in the same multi-buffer wave;
+  /// otherwise only `read` is, through mac_.
+  void fill_expected(PipeEntry& read) const;
+
+  /// The expected measurement MAC(challenge || freshness || reference),
+  /// streamed through mac_.
+  Bytes expected_tag(std::uint64_t challenge, std::uint64_t freshness) const;
 
   /// A reference change: every tagged round goes back to kDrawn.
   void clear_tags();

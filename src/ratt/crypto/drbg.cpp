@@ -80,6 +80,12 @@ void HmacDrbg::update(ByteView provided) {
 
 Bytes HmacDrbg::generate(std::size_t n) {
   Bytes out(n);
+  generate_into(out);
+  return out;
+}
+
+void HmacDrbg::generate_into(std::span<std::uint8_t> out) {
+  const std::size_t n = out.size();
   // V lives in the block between steps: each V = HMAC(K, V) overwrites
   // it in place, and the padding after it never changes.
   std::uint8_t block[kBlock];
@@ -92,7 +98,6 @@ Bytes HmacDrbg::generate(std::size_t n) {
   }
   std::memcpy(value_.data(), block, kDigest);
   update({});
-  return out;
 }
 
 void HmacDrbg::reseed(ByteView seed) { update(seed); }
@@ -104,8 +109,9 @@ std::uint64_t HmacDrbg::uniform(std::uint64_t bound) {
   const std::uint64_t mask =
       (bits >= 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
   for (;;) {
-    const Bytes raw = generate(8);
-    const std::uint64_t v = load_be64(raw.data()) & mask;
+    std::uint8_t raw[8];
+    generate_into(raw);
+    const std::uint64_t v = load_be64(raw) & mask;
     if (v < bound) return v;
   }
 }

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "ratt/crypto/bytes.hpp"
 #include "ratt/crypto/sha256.hpp"
@@ -21,6 +22,10 @@ class HmacDrbg {
 
   /// Generate `n` pseudorandom bytes.
   Bytes generate(std::size_t n);
+
+  /// Fill `out` with the bytes generate(out.size()) would return, and
+  /// advance the state the same way, without allocating.
+  void generate_into(std::span<std::uint8_t> out);
 
   /// Mix fresh seed material into the state.
   void reseed(ByteView seed);

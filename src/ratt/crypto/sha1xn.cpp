@@ -39,8 +39,7 @@ void Sha1xN::hash_many(const Sha1::Midstate* mids, const LaneMsg* msgs,
   // compression per lane is still ~3x faster than an AVX2 lane slot, and
   // Sha1 already compresses on SHA-NI, so each lane is a plain Sha1
   // resumed from its midstate.
-  static const bool use_ni = detail::sha_ni_supported();
-  if (use_ni) {
+  if (!lanes_parallel()) {
     for (std::size_t j = 0; j < n; ++j) {
       Sha1 lane = mids != nullptr ? Sha1(mids[j]) : Sha1();
       lane.update(msgs[j].head);
@@ -64,6 +63,11 @@ void Sha1xN::hash_many(const Sha1::Midstate* mids, const LaneMsg* msgs,
       detail::hash_lanes8_portable(mids, msgs, n, digests);
     }
   }
+}
+
+bool Sha1xN::lanes_parallel() {
+  static const bool parallel = !detail::sha_ni_supported();
+  return parallel;
 }
 
 void Sha1xN::hash_many(const ByteView* msgs, std::size_t n,

@@ -53,6 +53,13 @@ class Sha1xN {
   /// Fresh-IV, single-part convenience (known-answer tests).
   static void hash_many(const ByteView* msgs, std::size_t n,
                         std::uint8_t (*digests)[Sha1::kDigestSize]);
+
+  /// True when hash_many() runs its lanes side by side (the AVX2 or
+  /// portable transposed kernels), so n lanes cost about as much as one.
+  /// False on SHA-NI hosts, where hash_many() hashes the lanes one after
+  /// another and each lane costs a full scalar hash: callers that would
+  /// batch speculative work should then do only the work they need.
+  static bool lanes_parallel();
 };
 
 }  // namespace ratt::crypto

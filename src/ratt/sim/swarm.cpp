@@ -227,6 +227,12 @@ std::size_t Swarm::materialized_count() const {
   return n;
 }
 
+std::uint64_t Swarm::batch_tags_computed() const {
+  std::uint64_t n = 0;
+  for (const auto& shard : shards_) n += shard->batch.tags_computed();
+  return n;
+}
+
 void Swarm::apply_observer(Device& device) {
   Shard& shard = *shards_[device.shard];
   obs::Observer o = shard.observer;

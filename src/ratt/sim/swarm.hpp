@@ -203,6 +203,10 @@ class Swarm {
   bool is_booted(std::size_t i) const {
     return is_materialized(i) && devices_[i]->prover->booted();
   }
+  /// Expected-response tags the verifiers' lookahead windows computed,
+  /// summed over shards (attest::VerifierBatch::tags_computed(); 0
+  /// without mac_batch). Read it between drains.
+  std::uint64_t batch_tags_computed() const;
 
   // Observer plan: every shard holds the obs::Observer its devices get
   // (registry, sink, profile). The attach_* calls below re-point the

@@ -3,7 +3,9 @@
 // verifiers with one key, config and DRBG seed, one of them served by a
 // VerifierBatch, driven through the same calls. Every request must match
 // byte for byte and every verdict must agree, and the batched side's
-// verifier.batch.* counters must read as verifier.hpp documents.
+// verifier.batch.* counters must read as verifier.hpp documents. Those
+// counters do not depend on the host; VerifierBatch::tags_computed()
+// does (crypto::Sha1xN::lanes_parallel()).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +14,7 @@
 #include "ratt/attest/verifier.hpp"
 #include "ratt/attest/verifier_batch.hpp"
 #include "ratt/crypto/mac.hpp"
+#include "ratt/crypto/sha1xn.hpp"
 #include "ratt/obs/metrics.hpp"
 
 namespace ratt::attest {
@@ -145,6 +148,37 @@ TEST_P(VerifierLookahead, NeverCheckedRounds) {
   EXPECT_EQ(misses(), 1.0);
 }
 
+TEST_P(VerifierLookahead, TagsOnlyWhatIsReadWhereLanesAreSequential) {
+  // Where lanes run in parallel the first check tags all 8 drawn rounds
+  // in one wave; where they run one after another (SHA-NI) it tags only
+  // the round it reads.
+  const bool parallel = crypto::Sha1xN::lanes_parallel();
+  const AttestRequest first = request();
+  EXPECT_TRUE(check(first, honest(first, ref_a_)));
+  EXPECT_EQ(fills(), 1.0);
+  EXPECT_EQ(lanes(), 8.0);
+  EXPECT_EQ(hits(), 1.0);
+  EXPECT_EQ(batch_.tags_computed(), parallel ? 8u : 1u);
+  // A re-check reads the tag kept in the window.
+  EXPECT_TRUE(check(first, honest(first, ref_a_)));
+  EXPECT_EQ(batch_.tags_computed(), parallel ? 8u : 1u);
+  // Seven more rounds issued and never checked, then a second fill of
+  // 8 of which one is issued and checked: the unread rounds of both
+  // fills are never tagged on a sequential host.
+  for (int i = 0; i < 7; ++i) (void)request();
+  const AttestRequest second = request();
+  EXPECT_TRUE(check(second, honest(second, ref_a_)));
+  EXPECT_EQ(fills(), 2.0);
+  EXPECT_EQ(lanes(), 16.0);
+  EXPECT_EQ(hits(), 3.0);
+  EXPECT_EQ(misses(), 0.0);
+  EXPECT_EQ(batch_.tags_computed(), parallel ? 16u : 2u);
+  // A reference change re-tags only what is read next.
+  set_reference(ref_b_);
+  EXPECT_TRUE(check(second, honest(second, ref_b_)));
+  EXPECT_EQ(batch_.tags_computed(), parallel ? 24u : 3u);
+}
+
 TEST_P(VerifierLookahead, ReferenceSourceResolvesAtFirstCheck) {
   // A lazy reference source runs once, at the first check that reads
   // the reference — not at set time, not for request building.
@@ -166,8 +200,8 @@ TEST_P(VerifierLookahead, ReferenceSourceResolvesAtFirstCheck) {
   EXPECT_EQ(hits(), 3.0);
   EXPECT_EQ(misses(), 0.0);
   // A source set after the tags were computed clears them. The next
-  // check resolves it, once per verifier, and re-tags the window over
-  // it — rounds issued before the set included — so every check hits.
+  // check resolves it, once per verifier, and tags over it — rounds
+  // issued before the set included — so every check hits.
   scalar_.set_reference_source(source);
   batched_.set_reference_source(source);
   const AttestRequest req = request();
@@ -196,19 +230,20 @@ TEST_P(VerifierLookahead, ReferenceSwapBeforeFirstCheck) {
 TEST_P(VerifierLookahead, ReferenceSwapAfterFirstCheck) {
   std::vector<AttestRequest> reqs;
   for (int i = 0; i < 3; ++i) reqs.push_back(request());
-  // The first check tags all eight drawn rounds over ref_a_ ...
+  // The first check tags over ref_a_ (all eight drawn rounds where
+  // lanes run in parallel, only reqs[0] otherwise) ...
   EXPECT_TRUE(check(reqs[0], honest(reqs[0], ref_a_)));
   set_reference(ref_b_);
-  // ... and the swap clears those tags: the next check re-tags the
-  // window over ref_b_, so every later check hits with ref_b_'s verdict,
-  // a re-check of reqs[0] included.
+  // ... and the swap clears those tags: later checks tag over ref_b_,
+  // so every later check hits with ref_b_'s verdict, a re-check of
+  // reqs[0] included.
   EXPECT_TRUE(check(reqs[1], honest(reqs[1], ref_b_)));
   EXPECT_FALSE(check(reqs[2], honest(reqs[2], ref_a_)));
   EXPECT_FALSE(check(reqs[0], honest(reqs[0], ref_a_)));
   EXPECT_TRUE(check(reqs[0], honest(reqs[0], ref_b_)));
   EXPECT_EQ(hits(), 5.0);
   EXPECT_EQ(misses(), 0.0);
-  // The five rounds not yet issued were re-tagged in the same wave.
+  // The five rounds not yet issued are tagged over ref_b_ too.
   for (int i = 0; i < 5; ++i) {
     const AttestRequest req = request();
     EXPECT_TRUE(check(req, honest(req, ref_b_))) << i;

@@ -20,8 +20,10 @@
 //
 // Two more cases check where work runs rather than what it outputs: a
 // primed replay flood boots no prover before run_all() and every one on
-// its shard's worker inside it, and a lossy reliable fleet keeps >= 90%
-// of its valid checks on the verifier's lookahead window.
+// its shard's worker inside it, and lossy reliable fleets (1 KB and
+// 16 KB) keep >= 90% of their valid checks on the verifier's lookahead
+// window; the 16 KB one computes no more expected tags than it reads
+// where SHA-1 lanes run one after another.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "fleet_oracles.hpp"
+#include "ratt/crypto/sha1xn.hpp"
 #include "ratt/obs/metrics.hpp"
 #include "ratt/obs/pool.hpp"
 #include "ratt/obs/trace.hpp"
@@ -280,15 +283,26 @@ TEST(FleetPooledBoot, ReplayFloodBootsOnShardWorkers) {
   EXPECT_EQ(report.total_valid(), kDevices);
 }
 
-TEST(FleetBatch, LossyReliableFleetStaysOnTheLookaheadPipeline) {
-  // Lost and retried attempts need no clean-up: every fill draws all 8
-  // lanes over the rounds issued before it, so a lossy fleet keeps
-  // checking through the pipeline instead of drifting onto scalar MACs.
-  // Only late answers to rounds a later fill overwrote go scalar.
+// verifier.batch.* counters, the fleet's tag count and its retries
+// after a lossy10 reliable fleet (4 attempts, 250 ms period) drains.
+struct LossyBatchRun {
+  double valid = 0;
+  double invalid = 0;
+  double hits = 0;
+  double misses = 0;
+  double fills = 0;
+  double lanes = 0;
+  double retransmits = 0;
+  std::uint64_t tags_computed = 0;
+};
+
+LossyBatchRun lossy_reliable_fleet(std::size_t devices,
+                                   std::size_t measured_bytes,
+                                   double horizon_ms) {
   SwarmConfig config;
-  config.device_count = 512;
+  config.device_count = devices;
   config.shard_count = kShards;
-  config.prover.measured_bytes = 1024;
+  config.prover.measured_bytes = measured_bytes;
   config.attest_period_ms = 250.0;
   config.stagger_ms = 0.5;
   config.share_app_image = true;
@@ -300,21 +314,53 @@ TEST(FleetBatch, LossyReliableFleetStaysOnTheLookaheadPipeline) {
   Swarm swarm(config, crypto::from_string(kFleetSeed));
   obs::Registry registry;
   swarm.attach_observer(&registry, nullptr);
-  const SwarmReport report = swarm.run_parallel(16000.0, 4);
+  const SwarmReport report = swarm.run_parallel(horizon_ms, 4);
   EXPECT_EQ(report.events_leftover, 0u);
-  const double valid = counter_value(registry, "verifier.checks.valid");
-  const double invalid = counter_value(registry, "verifier.checks.invalid");
-  const double hits = counter_value(registry, "verifier.batch.hits");
-  const double misses = counter_value(registry, "verifier.batch.misses");
-  const double fills = counter_value(registry, "verifier.batch.fills");
-  const double lanes = counter_value(registry, "verifier.batch.lanes");
-  EXPECT_GT(valid, 30000.0);
-  EXPECT_GT(counter_value(registry, "net.retransmits"), 1000.0);
-  EXPECT_GE(hits, 0.9 * valid) << hits << " hits of " << valid;
+  return {counter_value(registry, "verifier.checks.valid"),
+          counter_value(registry, "verifier.checks.invalid"),
+          counter_value(registry, "verifier.batch.hits"),
+          counter_value(registry, "verifier.batch.misses"),
+          counter_value(registry, "verifier.batch.fills"),
+          counter_value(registry, "verifier.batch.lanes"),
+          counter_value(registry, "net.retransmits"),
+          swarm.batch_tags_computed()};
+}
+
+TEST(FleetBatch, LossyReliableFleetStaysOnTheLookaheadPipeline) {
+  // Lost and retried attempts need no clean-up: every fill draws all 8
+  // lanes over the rounds issued before it, so a lossy fleet keeps
+  // checking through the pipeline instead of drifting onto scalar MACs.
+  // Only late answers to rounds a later fill overwrote go scalar.
+  const LossyBatchRun r = lossy_reliable_fleet(512, 1024, 16000.0);
+  EXPECT_GT(r.valid, 30000.0);
+  EXPECT_GT(r.retransmits, 1000.0);
+  EXPECT_GE(r.hits, 0.9 * r.valid) << r.hits << " hits of " << r.valid;
   // Every check is served either from the window or scalar.
-  EXPECT_EQ(hits + misses, valid + invalid);
-  ASSERT_GT(fills, 0.0);
-  EXPECT_EQ(lanes, 8.0 * fills) << lanes << " lanes in " << fills;
+  EXPECT_EQ(r.hits + r.misses, r.valid + r.invalid);
+  ASSERT_GT(r.fills, 0.0);
+  EXPECT_EQ(r.lanes, 8.0 * r.fills) << r.lanes << " lanes in " << r.fills;
+}
+
+TEST(FleetBatch, LossyReliable16KBFleetTagsNoMoreThanItReads) {
+  // At 16 KB each expected tag is a full-memory MAC. Where lanes run one
+  // after another (SHA-NI), only rounds a check reads are tagged, so a
+  // fleet whose attempts are lost and retried computes no more tags than
+  // it has hits. Where lanes run in parallel a fill tags at most its 8
+  // drawn rounds, in one wave.
+  const LossyBatchRun r = lossy_reliable_fleet(256, 16384, 8000.0);
+  EXPECT_GT(r.valid, 7000.0);
+  EXPECT_GT(r.retransmits, 1000.0);
+  EXPECT_GE(r.hits, 0.9 * r.valid) << r.hits << " hits of " << r.valid;
+  EXPECT_EQ(r.hits + r.misses, r.valid + r.invalid);
+  ASSERT_GT(r.fills, 0.0);
+  EXPECT_EQ(r.lanes, 8.0 * r.fills);
+  ASSERT_GT(r.tags_computed, 0u);
+  if (crypto::Sha1xN::lanes_parallel()) {
+    EXPECT_LE(static_cast<double>(r.tags_computed), 8.0 * r.fills);
+  } else {
+    EXPECT_LE(static_cast<double>(r.tags_computed), r.hits)
+        << r.tags_computed << " tags for " << r.hits << " hits";
+  }
 }
 
 TEST(FleetByteCompare, BatchedMatchesScalar512Devices4Threads) {
