@@ -24,12 +24,13 @@ Verifier::Verifier(Bytes k_attest, const Config& config, ByteView drbg_seed)
 void Verifier::set_observer(const obs::Observer& observer) {
   obs_registry_ = observer.registry;
   obs_sink_ = observer.sink;
+  // verifier.power.* re-register lazily in the new registry.
+  obs_power_rounds_ = nullptr;
+  obs_power_violations_ = nullptr;
   if (observer.registry == nullptr) {
     obs_requests_ = nullptr;
     obs_valid_ = nullptr;
     obs_invalid_ = nullptr;
-    obs_power_rounds_ = nullptr;
-    obs_power_violations_ = nullptr;
     return;
   }
   obs_requests_ = &observer.registry->counter("verifier.requests");

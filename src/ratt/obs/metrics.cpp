@@ -1,6 +1,7 @@
 #include "ratt/obs/metrics.hpp"
 
 #include <charconv>
+#include <stdexcept>
 
 namespace ratt::obs {
 
@@ -14,6 +15,53 @@ void append_double(std::string& out, double v) {
 }
 
 }  // namespace
+
+void Counter::merge(const Counter& from) {
+  if (from.count() == 0) return;
+  value_.store(value() + from.value(), std::memory_order_relaxed);
+  count_.store(count() + from.count(), std::memory_order_relaxed);
+}
+
+void Counter::reset() {
+  value_.store(0.0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+}
+
+void Gauge::merge(const Gauge& from) {
+  if (from.sets() == 0) return;
+  value_.store(from.value(), std::memory_order_relaxed);
+  sets_.store(sets() + from.sets(), std::memory_order_relaxed);
+  detail::atomic_max(max_, from.max_.load(std::memory_order_relaxed));
+}
+
+void Gauge::reset() {
+  value_.store(0.0, std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  sets_.store(0, std::memory_order_relaxed);
+}
+
+void Histogram::merge(const Histogram& from) {
+  if (from.count() == 0) return;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(from.buckets_[i].load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  }
+  count_.store(count() + from.count(), std::memory_order_relaxed);
+  sum_.store(sum() + from.sum(), std::memory_order_relaxed);
+  detail::atomic_min(min_, from.min_.load(std::memory_order_relaxed));
+  detail::atomic_max(max_, from.max_.load(std::memory_order_relaxed));
+}
+
+void Histogram::reset() {
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+}
 
 std::vector<double> default_latency_bounds_ms() {
   return {0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
@@ -35,6 +83,38 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
+}
+
+void Registry::merge(const Registry& from) {
+  if (&from == this) {
+    throw std::invalid_argument(
+        "obs::Registry::merge: cannot fold into itself");
+  }
+  const std::scoped_lock lock(mutex_, from.mutex_);
+  // Check every histogram pair first, so a mismatch changes nothing.
+  for (const auto& [name, h] : from.histograms_) {
+    const auto it = histograms_.find(name);
+    if (it != histograms_.end() && it->second.bounds() != h.bounds()) {
+      throw std::invalid_argument("obs::Registry::merge: histogram '" + name +
+                                  "' has different bounds");
+    }
+  }
+  for (const auto& [name, c] : from.counters_) {
+    counters_.try_emplace(name).first->second.merge(c);
+  }
+  for (const auto& [name, g] : from.gauges_) {
+    gauges_.try_emplace(name).first->second.merge(g);
+  }
+  for (const auto& [name, h] : from.histograms_) {
+    histograms_.try_emplace(name, h.bounds()).first->second.merge(h);
+  }
+}
+
+void Registry::reset() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [name, c] : counters_) c.reset();
+  for (auto& [name, g] : gauges_) g.reset();
+  for (auto& [name, h] : histograms_) h.reset();
 }
 
 std::string Registry::to_text() const {

@@ -8,23 +8,28 @@
 //     inc()/set()/observe() touch plain members only,
 //   * no global state — a Registry is an injected instance, so two swarms
 //     (or two test cases) never share instruments,
-//   * header-mostly — only the export/snapshot helpers live in a .cpp.
+//   * header-mostly — only the export/snapshot/merge helpers live in a
+//     .cpp.
 //
-// Concurrency contract (the sharded Swarm relies on this): registration
-// (Registry::counter/gauge/histogram, get-or-create) is serialized by a
-// mutex, so shard workers may register lazily — the lazily-materialized
-// fleet attaches a device's instruments on whichever worker thread first
-// touches the device. It stays a cold path: callers cache the returned
-// reference and never take the lock again. The instruments themselves
-// ARE thread-safe: inc()/set()/observe() use relaxed atomics, so shards
-// sharing one Registry never race and never lose an update. Counts,
-// histogram buckets, min and max (and gauge high-waters) are exact at
-// any thread count. The double sums (counter value(), histogram sum())
-// are exact only to rounding when more than one thread writes: float
-// addition is not associative, so their last bits follow the order the
-// workers' additions land in — byte-compares of to_text() run at one
-// thread. A gauge set from several threads keeps whichever write landed
-// last.
+// Concurrency contract: registration (Registry::counter/gauge/histogram,
+// get-or-create) is serialized by a mutex, and the instruments themselves
+// are thread-safe — inc()/set()/observe() use relaxed atomics, so writers
+// on several threads never race and never lose an update. Counts,
+// histogram buckets, min and max (and gauge high-waters) are then exact
+// at any thread count, but the double sums (counter value(), histogram
+// sum()) are exact only to rounding: float addition is not associative,
+// so their last bits follow the order the additions land in, and a gauge
+// keeps whichever set() landed last.
+//
+// The sharded Swarm therefore never lets two threads write one
+// instrument: every shard records into a private Registry, and after
+// each drain the shards are folded into the caller's registry in shard
+// order (Registry::merge, then reset). Every instrument is cache-line
+// aligned (and a histogram's buckets own their lines), so two shards'
+// instruments never share a line either. Folded in a fixed order, the
+// sums are deterministic at any thread count. A folded gauge takes the
+// value of the last registry, in fold order, that set it since its last
+// reset; its max and set count cover every registry.
 //
 // Naming convention (docs/OBSERVABILITY.md): dot-separated lowercase
 // "<layer>.<subject>[.<detail>]", e.g. "prover.outcome.not-fresh",
@@ -33,15 +38,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ratt::obs {
+
+/// Alignment of every instrument: writers on different threads (shards)
+/// never touch the same cache line.
+inline constexpr std::size_t kCacheLine = 64;
 
 namespace detail {
 
@@ -61,14 +72,40 @@ inline void atomic_min(std::atomic<double>& target, double v) {
   }
 }
 
+/// Allocates whole, aligned cache lines, so nothing else lives on the
+/// lines a histogram's bucket array writes.
+template <class T>
+struct LineAllocator {
+  using value_type = T;
+  LineAllocator() = default;
+  template <class U>
+  LineAllocator(const LineAllocator<U>&) noexcept {}
+
+  static std::size_t line_bytes(std::size_t n) {
+    return (n * sizeof(T) + kCacheLine - 1) / kCacheLine * kCacheLine;
+  }
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(line_bytes(n), std::align_val_t{kCacheLine}));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    ::operator delete(p, line_bytes(n), std::align_val_t{kCacheLine});
+  }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) {
+    return true;
+  }
+};
+
 }  // namespace detail
+
+class Registry;
 
 /// Monotonically accumulating value. `value()` is the sum of all inc()
 /// arguments (so fractional quantities — milliseconds, millijoules —
 /// accumulate as given); `count()` is the number of inc() calls.
-/// Thread-safe: concurrent inc() from shard workers never lose updates,
-/// though a fractional value() is then exact only to rounding.
-class Counter {
+/// Thread-safe: concurrent inc() never loses an update, though a
+/// fractional value() is then exact only to rounding.
+class alignas(kCacheLine) Counter {
  public:
   void inc(double v = 1.0) {
     value_.fetch_add(v, std::memory_order_relaxed);
@@ -81,6 +118,11 @@ class Counter {
   }
 
  private:
+  friend class Registry;
+  // Registry::merge / reset: no writer may be active on either side.
+  void merge(const Counter& from);
+  void reset();
+
   std::atomic<double> value_{0.0};
   std::atomic<std::uint64_t> count_{0};
 };
@@ -89,7 +131,7 @@ class Counter {
 /// queue depths, where the peak matters as much as the final value).
 /// Thread-safe; max() — a max over all set values — is deterministic even
 /// under concurrent setters, while value() is whichever write landed last.
-class Gauge {
+class alignas(kCacheLine) Gauge {
  public:
   void set(double v) {
     value_.store(v, std::memory_order_relaxed);
@@ -110,6 +152,10 @@ class Gauge {
   }
 
  private:
+  friend class Registry;
+  void merge(const Gauge& from);
+  void reset();
+
   std::atomic<double> value_{0.0};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
   std::atomic<std::uint64_t> sets_{0};
@@ -121,29 +167,12 @@ class Gauge {
 /// observe() is thread-safe; bucket counts, count, min and max are exact
 /// under concurrency, while sum is exact only to rounding when several
 /// threads observe (its last bits follow the interleaving).
-class Histogram {
+class alignas(kCacheLine) Histogram {
  public:
   explicit Histogram(std::vector<double> bounds)
       : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
-
-  /// Move is a registration-time convenience only (Registry::histogram
-  /// moves the freshly-built instrument into its map). NOT thread-safe:
-  /// never move a histogram concurrent writers hold a reference to.
-  Histogram(Histogram&& other) noexcept
-      : bounds_(std::move(other.bounds_)),
-        buckets_(std::move(other.buckets_)) {
-    count_.store(other.count_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    sum_.store(other.sum_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-    min_.store(other.min_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-    max_.store(other.max_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  }
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
-  Histogram& operator=(Histogram&&) = delete;
 
   void observe(double v) {
     // First bound >= v keeps the documented inclusive-upper-bound
@@ -184,8 +213,15 @@ class Histogram {
   }
 
  private:
+  friend class Registry;
+  /// Bounds must be equal (Registry::merge checks before folding).
+  void merge(const Histogram& from);
+  void reset();
+
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::vector<std::atomic<std::uint64_t>,
+              detail::LineAllocator<std::atomic<std::uint64_t>>>
+      buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
@@ -200,10 +236,11 @@ std::vector<double> default_latency_bounds_ms();
 /// Instrument registry. Instruments live as long as the registry; the
 /// node-based containers guarantee stable addresses, so cached references
 /// survive later registrations. Registration and name lookup are
-/// mutex-serialized (lazy fleet materialization registers from shard
-/// worker threads); the returned instruments are safe to update from any
-/// thread without the lock. The whole-map accessors and to_text() are
-/// for post-join export — do not call them while workers may register.
+/// mutex-serialized and allocate only when they create an instrument;
+/// the returned instruments are safe to update from any thread without
+/// the lock. The whole-map accessors, to_text(), merge() and reset() are
+/// for quiescent registries — do not call them while workers may
+/// register or record.
 class Registry {
  public:
   Registry() = default;
@@ -213,28 +250,32 @@ class Registry {
   /// Get-or-create. Registration is the only allocating step.
   Counter& counter(std::string_view name) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return counters_[std::string(name)];
+    const auto it = counters_.lower_bound(name);
+    if (it != counters_.end() && it->first == name) return it->second;
+    return counters_.try_emplace(it, std::string(name))->second;
   }
   Gauge& gauge(std::string_view name) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return gauges_[std::string(name)];
+    const auto it = gauges_.lower_bound(name);
+    if (it != gauges_.end() && it->first == name) return it->second;
+    return gauges_.try_emplace(it, std::string(name))->second;
   }
   Histogram& histogram(std::string_view name) {
     // Build the default bounds vector only on the miss path — the common
     // repeated lookup must not allocate.
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) return it->second;
-    return histograms_.emplace(std::string(name),
-                               Histogram(default_latency_bounds_ms()))
-        .first->second;
+    const auto it = histograms_.lower_bound(name);
+    if (it != histograms_.end() && it->first == name) return it->second;
+    return histograms_
+        .try_emplace(it, std::string(name), default_latency_bounds_ms())
+        ->second;
   }
   Histogram& histogram(std::string_view name, std::vector<double> bounds) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) return it->second;
-    return histograms_.emplace(std::string(name), Histogram(std::move(bounds)))
-        .first->second;
+    const auto it = histograms_.lower_bound(name);
+    if (it != histograms_.end() && it->first == name) return it->second;
+    return histograms_.try_emplace(it, std::string(name), std::move(bounds))
+        ->second;
   }
 
   /// Lookup without creation (nullptr if absent) — for report writers.
@@ -251,6 +292,21 @@ class Registry {
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
+
+  /// Fold `from` into this registry, creating what is missing: counter
+  /// values and counts, histogram buckets, counts and sums add; min, max
+  /// and gauge high-waters take the extreme; set counts add, and a gauge
+  /// `from` set (since its last reset) takes `from`'s value. Folding
+  /// several registries in a fixed order gives the same result at any
+  /// thread count. Throws std::invalid_argument, before changing
+  /// anything, if a histogram of both has different bounds or if `from`
+  /// is this registry.
+  void merge(const Registry& from);
+
+  /// Zero every instrument in place: registrations — and the references
+  /// callers cached — stay valid, so a merged-then-reset registry can be
+  /// folded again without counting anything twice.
+  void reset();
 
   /// Human-readable dump, one instrument per line, name-sorted (stable —
   /// suitable for golden comparisons in tests).

@@ -3,8 +3,8 @@
 //
 // One EventQueue is single-threaded; the sharded Swarm scales out by
 // giving every shard its own queue (devices never interact cross-shard),
-// so no locking lives here — only the observability instruments the
-// queues share are thread-safe (see obs/metrics.hpp).
+// so no locking lives here; each shard's queue records into that shard's
+// own registry (see sim/swarm.hpp).
 //
 // The queue is a binary min-heap over (at_ms, seq): events run globally
 // sorted by time, FIFO among same-time events, so the same seed gives

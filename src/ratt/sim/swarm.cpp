@@ -240,42 +240,73 @@ void Swarm::apply_observer(Device& device) {
   device.prover->set_observer(o);
   device.verifier->set_observer(o);
   device.session->set_observer(o);
-  // The shard's batch engine shares the fleet registry; its counters
-  // register lazily on the first batched wave, so scalar runs keep the
-  // registry export byte-identical.
+  // The shard's batch engine records into the shard's registry; its
+  // counters register lazily on the first batched wave, so scalar runs
+  // keep the registry export byte-identical.
   if (config_.mac_batch) shard.batch.set_observer(o);
 }
 
 void Swarm::apply_observer_to_materialized() {
-  for (Device* device : devices_) {
-    if (device != nullptr) apply_observer(*device);
+  // O(materialized), not O(devices): a million-device fleet attaches
+  // before it wakes anyone.
+  for (auto& shard : shards_) {
+    for (Device& device : shard->devices) apply_observer(device);
+  }
+}
+
+void Swarm::retarget_metrics(obs::Registry* registry) {
+  fold_metrics();
+  if (registry == registry_) return;
+  // A new target gets fresh shard registries, so no name registered for
+  // the old one shows up in it. The attach_* caller re-points everything
+  // that cached an instrument of the old ones before anything records.
+  registry_ = registry;
+  for (auto& shard : shards_) {
+    shard->metrics =
+        registry == nullptr ? nullptr : std::make_unique<obs::Registry>();
+  }
+}
+
+void Swarm::fold_metrics() {
+  if (registry_ == nullptr) return;
+  for (auto& shard : shards_) {
+    registry_->merge(*shard->metrics);
+    shard->metrics->reset();
   }
 }
 
 void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink) {
+  retarget_metrics(registry);
   for (auto& shard : shards_) {
-    shard->queue.set_observer(registry);
-    shard->observer = obs::Observer{.registry = registry, .sink = sink};
+    obs::Registry* metrics = shard->metrics.get();
+    shard->queue.set_observer(metrics);
+    // A ring left by attach_sharded_observer no longer records.
+    if (shard->ring != nullptr) shard->ring->set_dropped_counter(nullptr);
+    shard->observer = obs::Observer{.registry = metrics, .sink = sink};
   }
   apply_observer_to_materialized();
+  fold_metrics();  // the caller's registry lists the new instruments
 }
 
 void Swarm::attach_sharded_observer(obs::Registry* registry,
                                     std::size_t ring_capacity) {
+  retarget_metrics(registry);
   for (auto& shard : shards_) {
+    obs::Registry* metrics = shard->metrics.get();
     shard->ring = std::make_unique<obs::RingRecorder>(ring_capacity);
-    if (registry != nullptr) {
-      // One shared eviction counter: Counter::inc is thread-safe, and the
-      // tally lets exports state whether the merged trace is complete.
-      shard->ring->set_dropped_counter(&registry->counter("obs.trace.dropped"));
+    if (metrics != nullptr) {
+      // The eviction tally lets exports state whether the merged trace
+      // is complete.
+      shard->ring->set_dropped_counter(&metrics->counter("obs.trace.dropped"));
     }
     shard->profile = std::make_unique<obs::prof::ShardProfile>();
-    shard->queue.set_observer(registry);
-    shard->observer = obs::Observer{.registry = registry,
+    shard->queue.set_observer(metrics);
+    shard->observer = obs::Observer{.registry = metrics,
                                     .sink = shard->ring.get(),
                                     .profile = shard->profile.get()};
   }
   apply_observer_to_materialized();
+  fold_metrics();
 }
 
 std::vector<obs::TraceRecord> Swarm::merged_trace() const {
@@ -299,7 +330,7 @@ obs::prof::ProfileTable Swarm::merged_profile() const {
 void Swarm::attach_power(const obs::power::PowerTraceConfig& config) {
   if (shards_[0]->ring == nullptr) {
     // Power synthesis needs the shard rings and profiles in place.
-    attach_sharded_observer(shards_[0]->observer.registry);
+    attach_sharded_observer(registry_);
   }
   for (auto& shard : shards_) {
     shard->power = std::make_unique<obs::power::ShardPowerRecorder>(config);
@@ -360,6 +391,7 @@ void Swarm::schedule(double horizon_ms) {
 
 void Swarm::run_until(double until_ms) {
   for (auto& shard : shards_) shard->queue.run_until(until_ms);
+  fold_metrics();
 }
 
 std::size_t Swarm::run_all() {
@@ -399,11 +431,11 @@ std::size_t Swarm::shard_budget(const Shard& shard) const {
 
 std::size_t Swarm::drain(std::size_t threads) {
   // Shards are fully independent event streams, one per pool ticket. All
-  // cross-thread state is the ticket, the leftover tally and the
-  // registry's thread-safe instruments (lazy materialization only ever
-  // happens on a device's owning shard worker). run_all's bounded drain
-  // leaves any stranded backlog pending, which report() picks up as
-  // events_leftover.
+  // cross-thread state is the ticket and the leftover tally: each shard
+  // records into its own registry (lazy materialization only ever happens
+  // on a device's owning shard worker), folded into the caller's in shard
+  // order once every worker has joined. run_all's bounded drain leaves any
+  // stranded backlog pending, which report() picks up as events_leftover.
   std::atomic<std::size_t> leftover{0};
   obs::parallel_for(shards_.size(), std::min(threads, shards_.size()),
                     [this, &leftover](std::size_t s) {
@@ -411,6 +443,7 @@ std::size_t Swarm::drain(std::size_t threads) {
                           shards_[s]->queue.run_all(shard_budget(*shards_[s])),
                           std::memory_order_relaxed);
                     });
+  fold_metrics();
   return leftover.load(std::memory_order_relaxed);
 }
 

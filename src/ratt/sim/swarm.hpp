@@ -15,8 +15,10 @@
 // of reports and traces is deterministic — byte-identical for the same
 // seed at ANY thread count, because per-shard behavior never depends on
 // scheduling and the merge orders records by (sim_time, device_id)
-// canonically. Metrics aggregate into one shared Registry whose
-// instruments are thread-safe (obs/metrics.hpp).
+// canonically. Metrics follow the same plan: every shard records into a
+// private Registry, folded into the caller's registry in shard order
+// after each drain, so the registry export is byte-identical at any
+// thread count too (obs/metrics.hpp).
 //
 // Million-device scale rests on three mechanisms:
 //   * Lazy periodic scheduling (default): schedule() arms ONE
@@ -213,6 +215,15 @@ class Swarm {
   // shards and re-apply the plan to every materialized device; devices
   // materialized later get their shard's observer on creation, so the
   // attach order relative to materialization never shows in any output.
+  //
+  // Metrics: the registry passed to attach_* is the fold target. Every
+  // shard's queue, ring, batch engine and devices record into the shard's
+  // own registry, so no instrument written during a drain is shared by
+  // two shards. Each run_parallel(), run_until() slice and run_all()
+  // ends by folding the shard registries into the target in shard order
+  // (obs::Registry::merge) and resetting them — the target reads
+  // fleet-wide totals after every drain, deterministic at any thread
+  // count. Re-attaching folds what is pending into the old target first.
 
   /// Attach one registry/sink pair to the whole fleet: every prover,
   /// verifier and session gets an Observer carrying its device index, and
@@ -227,9 +238,10 @@ class Swarm {
   /// into its own private RingRecorder (at most `ring_capacity` records
   /// each — a bound, not a preallocation: ring memory grows with the
   /// records held, and the worker that records them faults it in) and
-  /// its own prof::ShardProfile, so worker threads never share a sink or
-  /// accumulator; the shared registry only needs its thread-safe
-  /// instruments. Ring evictions feed the "obs.trace.dropped" counter.
+  /// its own prof::ShardProfile, so worker threads never share a sink,
+  /// accumulator or registry instrument (the shards' registries fold into
+  /// `registry` after every drain). Ring evictions feed the
+  /// "obs.trace.dropped" counter.
   /// After a run, merged_trace() / merged_profile() return deterministic
   /// canonical merges of all shards.
   void attach_sharded_observer(obs::Registry* registry,
@@ -338,6 +350,10 @@ class Swarm {
     std::unique_ptr<AttestationSession> session;
   };
   struct Shard {
+    // This shard's instruments (nullptr while no registry is attached),
+    // folded into Swarm::registry_ after every drain, then reset.
+    // Declared first so it outlives everything that caches an instrument.
+    std::unique_ptr<obs::Registry> metrics;
     EventQueue queue;
     std::size_t begin = 0;  // device index range [begin, end)
     std::size_t end = 0;
@@ -371,6 +387,13 @@ class Swarm {
   Device& materialize(std::size_t i);
   void apply_observer(Device& device);
   void apply_observer_to_materialized();
+  /// Fold the shard registries into registry_ in shard order and reset
+  /// them (no-op without a registry). Call only while no shard drains.
+  void fold_metrics();
+  /// attach_*: fold what is pending, then make `registry` the fold
+  /// target. A new target gets fresh shard registries; the caller must
+  /// re-point every instrument user before the shards record again.
+  void retarget_metrics(obs::Registry* registry);
   double stagger_offset(std::size_t i) const;
   /// Arm round k (1-based) of device i's lazy chain; no-op beyond the
   /// scheduled horizon.
@@ -399,6 +422,8 @@ class Swarm {
   /// order. That stream's bytes are pinned by lossy-link goldens, so it
   /// stays a pre-drawn table rather than an HKDF derivation.
   std::vector<std::uint8_t> net_seeds_;
+  /// The caller's registry the shards fold into (attach_*; nullable).
+  obs::Registry* registry_ = nullptr;
   /// Shared boot image + verifier reference (share_app_image mode).
   std::shared_ptr<const attest::ProverTemplate> template_;
   /// Largest horizon schedule() has seen — caps the lazy chains and

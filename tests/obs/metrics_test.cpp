@@ -1,9 +1,15 @@
 // Registry / counter / gauge / histogram semantics, including the
-// stable-address guarantee cached instrument pointers rely on, and the
-// EventQueue's metric surface (backlog, latency, runaway leftover).
+// stable-address guarantee cached instrument pointers rely on, the
+// Registry fold (merge + reset) the sharded Swarm runs after every
+// drain, and the EventQueue's metric surface (backlog, latency, runaway
+// leftover).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "ratt/obs/metrics.hpp"
 #include "ratt/sim/event.hpp"
@@ -154,6 +160,175 @@ TEST(Registry, TextDumpIsNameSortedAndStable) {
   EXPECT_LT(a_pos, b_pos);
   EXPECT_LT(b_pos, c_pos);
   EXPECT_EQ(text, reg.to_text());  // deterministic
+}
+
+TEST(Registry, InstrumentsOwnTheirCacheLines) {
+  static_assert(alignof(Counter) == kCacheLine);
+  static_assert(alignof(Gauge) == kCacheLine);
+  static_assert(alignof(Histogram) == kCacheLine);
+  Registry a;
+  Registry b;
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kCacheLine;
+  };
+  EXPECT_NE(line(&a.counter("x")), line(&b.counter("x")));
+  const Histogram& h = a.histogram("h", {1.0, 2.0});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&h) % kCacheLine, 0u);
+}
+
+TEST(RegistryMerge, CountersAddValuesAndCounts) {
+  Registry target;
+  Registry shard0;
+  Registry shard1;
+  target.counter("ms").inc(0.25);
+  shard0.counter("ms").inc(0.1);
+  shard0.counter("ms").inc(0.2);
+  shard1.counter("ms").inc(0.7);
+  shard0.counter("n").inc();
+  shard1.counter("n").inc();
+  shard1.counter("n").inc(3.0);
+  target.merge(shard0);
+  target.merge(shard1);
+  // Fractional sums add per registry, then registry by registry.
+  EXPECT_EQ(target.counter("ms").value(), 0.25 + (0.1 + 0.2) + 0.7);
+  EXPECT_EQ(target.counter("ms").count(), 4u);
+  EXPECT_EQ(target.counter("n").value(), 5.0);
+  EXPECT_EQ(target.counter("n").count(), 3u);
+  // The sources are read, not drained.
+  EXPECT_EQ(shard1.counter("n").count(), 2u);
+}
+
+TEST(RegistryMerge, GaugeTakesLastSettingRegistryInFoldOrder) {
+  Registry target;
+  target.gauge("g").set(100.0);
+  Registry shard0;
+  Registry shard1;
+  Registry shard2;
+  shard0.gauge("g").set(5.0);
+  shard0.gauge("g").set(2.0);
+  shard1.gauge("g").set(7.0);
+  shard2.gauge("g");  // registered, never set
+  target.merge(shard0);
+  target.merge(shard1);
+  target.merge(shard2);
+  const Gauge& g = target.gauge("g");
+  EXPECT_EQ(g.value(), 7.0);  // shard1: the last one that set it
+  EXPECT_EQ(g.max(), 100.0);  // the target's own earlier peak survives
+  EXPECT_EQ(g.sets(), 4u);
+
+  // A gauge never set anywhere stays unset (max 0, not -inf).
+  Registry fresh;
+  fresh.merge(shard2);
+  ASSERT_NE(fresh.find_gauge("g"), nullptr);
+  EXPECT_EQ(fresh.find_gauge("g")->sets(), 0u);
+  EXPECT_EQ(fresh.find_gauge("g")->max(), 0.0);
+  EXPECT_EQ(fresh.to_text(), "gauge g value=0 max=0\n");
+}
+
+TEST(RegistryMerge, HistogramsAddBucketsAndKeepExtremes) {
+  Registry target;
+  Registry shard0;
+  Registry shard1;
+  Registry shard2;
+  const std::vector<double> bounds = {1.0, 10.0};
+  shard0.histogram("h", bounds).observe(0.5);
+  shard0.histogram("h", bounds).observe(20.0);
+  shard1.histogram("h", bounds).observe(5.0);
+  shard1.histogram("h", bounds).observe(0.25);
+  shard2.histogram("h", bounds);  // empty
+  shard2.histogram("only2", bounds).observe(3.0);  // in one shard only
+  target.merge(shard0);
+  target.merge(shard1);
+  target.merge(shard2);
+  const Histogram& h = target.histogram("h");
+  EXPECT_EQ(h.bounds(), bounds);
+  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{2, 1, 1}));
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), (0.5 + 20.0) + (5.0 + 0.25));
+  EXPECT_EQ(h.min(), 0.25);
+  EXPECT_EQ(h.max(), 20.0);
+  const Histogram* only2 = target.find_histogram("only2");
+  ASSERT_NE(only2, nullptr);
+  EXPECT_EQ(only2->bounds(), bounds);
+  EXPECT_EQ(only2->count(), 1u);
+  EXPECT_EQ(only2->min(), 3.0);
+  EXPECT_EQ(only2->max(), 3.0);
+
+  // Empty instruments fold to empty instruments (min/max 0, not inf).
+  Registry empty_target;
+  Registry empty_shard;
+  empty_shard.histogram("e", bounds);
+  empty_shard.counter("c");
+  empty_target.merge(empty_shard);
+  empty_target.merge(empty_shard);
+  EXPECT_EQ(empty_target.to_text(), empty_shard.to_text());
+  EXPECT_EQ(empty_target.find_histogram("e")->min(), 0.0);
+}
+
+TEST(RegistryMerge, InstrumentsPresentInSomeShardsOnlyAreCreated) {
+  Registry target;
+  Registry shard0;
+  Registry shard1;
+  shard0.counter("a").inc(2.0);
+  shard1.gauge("b").set(3.0);
+  shard1.histogram("c").observe(0.07);  // default latency bounds
+  target.merge(shard0);
+  target.merge(shard1);
+  EXPECT_EQ(target.to_text(),
+            "counter a value=2 count=1\n"
+            "gauge b value=3 max=3\n"
+            "histogram c count=1 sum=0.07 min=0.07 max=0.07 "
+            "buckets=[0,1,0,0,0,0,0,0,0,0,0]\n");
+}
+
+TEST(RegistryMerge, RejectsMismatchedHistogramBoundsWithoutChangingAnything) {
+  Registry target;
+  target.histogram("h", {1.0, 2.0}).observe(1.5);
+  target.counter("c").inc();
+  Registry shard;
+  shard.counter("c").inc(4.0);
+  shard.histogram("h", {1.0, 3.0}).observe(2.5);
+  const std::string before = target.to_text();
+  EXPECT_THROW(target.merge(shard), std::invalid_argument);
+  EXPECT_EQ(target.to_text(), before);  // the counter was not folded
+  EXPECT_THROW(target.merge(target), std::invalid_argument);
+}
+
+TEST(RegistryMerge, SecondDrainAfterFoldAndResetDoesNotDoubleCount) {
+  Registry target;
+  Registry shard;
+  Counter& c = shard.counter("c");  // cached, like an instrumented layer
+  Gauge& g = shard.gauge("g");
+  Histogram& h = shard.histogram("h", {1.0});
+  // Drain 1.
+  c.inc(1.5);
+  g.set(9.0);
+  h.observe(0.5);
+  target.merge(shard);
+  shard.reset();
+  EXPECT_EQ(c.count(), 0u);
+  EXPECT_EQ(g.sets(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min(), 0.0);
+  // Drain 2 records through the same cached references; the gauge is
+  // not set again, so the target keeps drain 1's value.
+  c.inc(2.0);
+  h.observe(3.0);
+  target.merge(shard);
+  shard.reset();
+  EXPECT_EQ(&shard.counter("c"), &c);
+  EXPECT_EQ(target.counter("c").value(), 3.5);
+  EXPECT_EQ(target.counter("c").count(), 2u);
+  EXPECT_EQ(target.gauge("g").value(), 9.0);
+  EXPECT_EQ(target.gauge("g").sets(), 1u);
+  EXPECT_EQ(target.histogram("h").count(), 2u);
+  EXPECT_EQ(target.histogram("h").buckets(),
+            (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_EQ(target.histogram("h").max(), 3.0);
+  // A fold of a reset registry changes nothing.
+  const std::string text = target.to_text();
+  target.merge(shard);
+  EXPECT_EQ(target.to_text(), text);
 }
 
 TEST(EventQueueObs, PublishesBacklogLatencyAndRunCount) {

@@ -18,12 +18,17 @@
 //   * periodic fleet, 4096 devices, lazy chains at 4 threads vs the
 //     eager reference plant at 1 thread.
 //
-// Two more cases check where work runs rather than what it outputs: a
+// The registry text (Registry::to_text(), fractional sums included) of
+// the periodic fleet and of a lossy10 reliable fleet is compared byte for
+// byte at 1, 4 and 8 threads.
+//
+// More cases check where work runs rather than what it outputs: a
 // primed replay flood boots no prover before run_all() and every one on
-// its shard's worker inside it, and lossy reliable fleets (1 KB and
-// 16 KB) keep >= 90% of their valid checks on the verifier's lookahead
-// window; the 16 KB one computes no more expected tags than it reads
-// where SHA-1 lanes run one after another.
+// its shard's worker inside it; lossy reliable fleets (1 KB and 16 KB)
+// keep >= 90% of their valid checks on the verifier's lookahead window,
+// and the 16 KB one computes no more expected tags than it reads where
+// SHA-1 lanes run one after another; and no two shards record into one
+// registry instrument.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +58,7 @@ struct FleetRun {
   std::uint64_t events_run = 0;
   std::size_t materialized = 0;
   std::uint64_t replays_rejected = 0;
+  std::string registry_text;
 };
 
 double counter_value(const obs::Registry& registry, const char* name) {
@@ -82,6 +88,7 @@ void collect(const Swarm& swarm, const obs::Registry& registry,
   run->replays_rejected = static_cast<std::uint64_t>(
       counter_value(registry, "prover.outcome.not-fresh") +
       counter_value(registry, "prover.outcome.bad-request-mac"));
+  run->registry_text = registry.to_text();
 }
 
 void expect_identical(const FleetRun& a, const FleetRun& b) {
@@ -294,11 +301,13 @@ struct LossyBatchRun {
   double lanes = 0;
   double retransmits = 0;
   std::uint64_t tags_computed = 0;
+  std::string registry_text;
 };
 
 LossyBatchRun lossy_reliable_fleet(std::size_t devices,
                                    std::size_t measured_bytes,
-                                   double horizon_ms) {
+                                   double horizon_ms,
+                                   std::size_t threads = 4) {
   SwarmConfig config;
   config.device_count = devices;
   config.shard_count = kShards;
@@ -314,7 +323,7 @@ LossyBatchRun lossy_reliable_fleet(std::size_t devices,
   Swarm swarm(config, crypto::from_string(kFleetSeed));
   obs::Registry registry;
   swarm.attach_observer(&registry, nullptr);
-  const SwarmReport report = swarm.run_parallel(horizon_ms, 4);
+  const SwarmReport report = swarm.run_parallel(horizon_ms, threads);
   EXPECT_EQ(report.events_leftover, 0u);
   return {counter_value(registry, "verifier.checks.valid"),
           counter_value(registry, "verifier.checks.invalid"),
@@ -323,7 +332,8 @@ LossyBatchRun lossy_reliable_fleet(std::size_t devices,
           counter_value(registry, "verifier.batch.fills"),
           counter_value(registry, "verifier.batch.lanes"),
           counter_value(registry, "net.retransmits"),
-          swarm.batch_tags_computed()};
+          swarm.batch_tags_computed(),
+          registry.to_text()};
 }
 
 TEST(FleetBatch, LossyReliableFleetStaysOnTheLookaheadPipeline) {
@@ -360,6 +370,84 @@ TEST(FleetBatch, LossyReliable16KBFleetTagsNoMoreThanItReads) {
   } else {
     EXPECT_LE(static_cast<double>(r.tags_computed), r.hits)
         << r.tags_computed << " tags for " << r.hits << " hits";
+  }
+}
+
+TEST(FleetByteCompare, RegistryTextIdenticalAt1And4And8Threads) {
+  // Shards record into private registries folded in shard order, so
+  // every line of the export — fractional counter values and histogram
+  // sums included — is independent of the thread count.
+  {
+    SCOPED_TRACE("periodic traced fleet, 16 shards");
+    const FleetRun t1 = periodic_fleet(1024, 1);
+    expect_clean_periodic(t1, 1024);
+    ASSERT_NE(t1.registry_text.find("prover.busy_ms"), std::string::npos);
+    for (const std::size_t threads : {4, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      EXPECT_EQ(periodic_fleet(1024, threads).registry_text,
+                t1.registry_text);
+    }
+  }
+  {
+    SCOPED_TRACE("lossy10 reliable fleet, 16 shards");
+    const LossyBatchRun t1 = lossy_reliable_fleet(256, 1024, 4000.0, 1);
+    EXPECT_GT(t1.retransmits, 0.0);
+    ASSERT_NE(t1.registry_text.find("net.retransmits"), std::string::npos);
+    for (const std::size_t threads : {4, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      EXPECT_EQ(lossy_reliable_fleet(256, 1024, 4000.0, threads).registry_text,
+                t1.registry_text);
+    }
+  }
+}
+
+TEST(FleetRegistry, ShardsRecordIntoPrivateInstruments) {
+  // Fails when two shards' devices or queues record into one instrument.
+  SwarmConfig config;
+  config.device_count = 64;
+  config.shard_count = 4;
+  config.prover.measured_bytes = 64;
+  config.attest_period_ms = 100.0;
+  config.share_app_image = true;
+  const std::size_t per_shard = config.device_count / config.shard_count;
+  {
+    // The caller's registry is only the fold target: a probe at the end
+    // of every shard's drain finds it as the attach left it, although
+    // each shard's devices have attested ~10 times by then.
+    Swarm swarm(config, crypto::from_string(kFleetSeed));
+    obs::Registry registry;
+    swarm.attach_observer(&registry, nullptr);
+    std::vector<std::uint64_t> seen(config.shard_count, 1);
+    for (std::size_t s = 0; s < config.shard_count; ++s) {
+      swarm.queue_of(s * per_shard).schedule_at(999.0, [&registry, &seen, s] {
+        const obs::Counter* requests = registry.find_counter("prover.requests");
+        seen[s] = requests == nullptr ? 0 : requests->count();
+      });
+    }
+    const SwarmReport report = swarm.run_parallel(1000.0, 4);
+    EXPECT_EQ(seen, std::vector<std::uint64_t>(config.shard_count, 0));
+    ASSERT_NE(registry.find_counter("prover.requests"), nullptr);
+    EXPECT_EQ(registry.find_counter("prover.requests")->count(),
+              report.total_sent());
+  }
+  {
+    // One queue.backlog gauge per shard. The last shard sets it while
+    // scheduling; only shard 0 runs in the slice. The fold takes the
+    // last shard, in shard order, that set its gauge since the previous
+    // fold (backlog 1), where one shared gauge would keep shard 0's
+    // later write (backlog 0).
+    Swarm swarm(config, crypto::from_string(kFleetSeed));
+    obs::Registry registry;
+    swarm.attach_observer(&registry, nullptr);
+    swarm.queue_of(config.device_count - 1).schedule_at(100.0, [] {});
+    swarm.queue_of(0).schedule_at(10.0, [] {});
+    swarm.queue_of(0).schedule_at(20.0, [] {});
+    swarm.run_until(50.0);
+    const obs::Gauge* backlog = registry.find_gauge("queue.backlog");
+    ASSERT_NE(backlog, nullptr);
+    EXPECT_EQ(backlog->value(), 1.0);
+    EXPECT_EQ(backlog->max(), 2.0);
+    EXPECT_EQ(backlog->sets(), 5u);
   }
 }
 

@@ -1,5 +1,5 @@
-// Session behaviour pins: twelve 64-device fleets (4 shards, one thread,
-// 3 s horizon) covering every AttestationSession round path — plain
+// Session behaviour pins: twelve 64-device fleets (4 shards, 3 s horizon)
+// covering every AttestationSession round path — plain
 // rounds under counter, nonce and timestamp freshness, plain rounds over
 // a lossy link, reliable rounds over lossy and hostile links, and
 // incremental rounds (dirty pages, injected frames, lossy / bursty /
@@ -7,9 +7,13 @@
 //
 //   * the merged trace JSONL,
 //   * the merged phase-profile JSONL,
-//   * Registry::to_text() (read at one thread: a double sum written by
-//     several threads is exact only to rounding, obs/metrics.hpp),
+//   * Registry::to_text(),
 //   * every device's Stats, duty fraction and attestation time.
+//
+// Every fleet runs at one thread and at four, and both must give the
+// same four FNVs: each shard records into its own registry and the
+// shards fold into the caller's in shard order, so even the registry's
+// fractional sums do not depend on the thread count (obs/metrics.hpp).
 //
 // A refactor of the round paths must leave every value unchanged; an
 // intended behaviour change updates the table below and says why.
@@ -83,6 +87,8 @@ struct Pins {
   std::string registry;
   std::string stats;
 };
+
+constexpr std::size_t kThreadCounts[] = {1, 4};
 
 /// Start time of device i's k-th scheduled round (Swarm's offset +
 /// k * period plan).
@@ -208,7 +214,7 @@ struct Fleet {
   Pins expected;
 };
 
-Pins run_fleet(const Fleet& fleet) {
+Pins run_fleet(const Fleet& fleet, std::size_t threads) {
   SwarmConfig config;
   config.device_count = kDevices;
   config.shard_count = kShards;
@@ -225,7 +231,7 @@ Pins run_fleet(const Fleet& fleet) {
   if (fleet.prepare) fleet.prepare(swarm, writers);
   obs::Registry registry;
   swarm.attach_sharded_observer(&registry);
-  const SwarmReport report = swarm.run_parallel(kHorizonMs, /*threads=*/1);
+  const SwarmReport report = swarm.run_parallel(kHorizonMs, threads);
 
   std::ostringstream trace;
   obs::write_jsonl(trace, swarm.merged_trace());
@@ -235,16 +241,21 @@ Pins run_fleet(const Fleet& fleet) {
               hex(fnv1a(registry.to_text())), hex(fnv1a(stats_text(report)))};
 }
 
+// Every registry pin moved once, only in the fractional digits of the
+// value= and sum= fields (prover.busy_ms, prover.energy_mj,
+// prover.handle_ms, queue.event_latency_ms, session.round_trip_ms), when
+// the shards stopped sharing one registry: each sum is now added up per
+// shard and the shard totals are added in shard order.
 const std::vector<Fleet>& fleets() {
   static const std::vector<Fleet> kFleets = {
       {"plain_counter", [](SwarmConfig&) {}, nullptr,
        {"46440ef03e9171ee", "82bd6fe44ebb8fe2",
-        "7b13b076d3d0799a", "b4ae91a4dbe42f1f"}},
+        "e8471c0f146996d5", "b4ae91a4dbe42f1f"}},
       {"plain_nonce",
        [](SwarmConfig& c) { c.prover.scheme = FreshnessScheme::kNonce; },
        nullptr,
        {"46440ef03e9171ee", "82bd6fe44ebb8fe2",
-        "7b13b076d3d0799a", "b4ae91a4dbe42f1f"}},
+        "e8471c0f146996d5", "b4ae91a4dbe42f1f"}},
       {"plain_timestamp",
        [](SwarmConfig& c) {
          c.prover.scheme = FreshnessScheme::kTimestamp;
@@ -253,11 +264,11 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"46440ef03e9171ee", "82bd6fe44ebb8fe2",
-        "199de4e556c4218a", "b4ae91a4dbe42f1f"}},
+        "527680599177ddfb", "b4ae91a4dbe42f1f"}},
       {"plain_injected", [](SwarmConfig&) {},
        [](Swarm& s, auto&) { inject_frames(s, /*incremental=*/false); },
        {"566101caf8d36f45", "4c4928033ee9deef",
-        "784dce7c00bd16cc", "033027d2113cbbd2"}},
+        "b3d4cee88d82ef9d", "033027d2113cbbd2"}},
       // The three lossy fleets' registry pins moved only in their
       // verifier.batch.* lines when the verifier's lookahead became one
       // window that every fill redraws in full (lost attempts no longer
@@ -265,7 +276,7 @@ const std::vector<Fleet>& fleets() {
       {"plain_lossy10", [](SwarmConfig& c) { c.link = net::lossy10_link(); },
        nullptr,
        {"71db07ce67a44a7f", "74e392fb6ce07103",
-        "cf394ffe10bcdaab", "77ca72b2746bb43d"}},
+        "ece0f533a74e0017", "77ca72b2746bb43d"}},
       {"reliable_lossy10",
        [](SwarmConfig& c) {
          c.link = net::lossy10_link();
@@ -274,7 +285,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"20f578dbe16e6232", "c65efcf7d04ea8e7",
-        "e50e3687fe038cf3", "48979f96ffa093cc"}},
+        "9a46a8227496ac1c", "48979f96ffa093cc"}},
       {"reliable_hostile",
        [](SwarmConfig& c) {
          c.link = net::hostile_link();
@@ -283,7 +294,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"3542fcd38a5c1257", "57e06e8363ef71eb",
-        "c9aa792a97325d33", "f1c8b3ea1c6b8f35"}},
+        "1c8e2e517fe11e84", "f1c8b3ea1c6b8f35"}},
       {"inc_dirty_pages",
        [](SwarmConfig& c) {
          c.prover.enable_incremental = true;
@@ -291,12 +302,12 @@ const std::vector<Fleet>& fleets() {
        },
        [](Swarm& s, auto& writers) { dirty_pages(s, writers); },
        {"1e0ea3c0eb651754", "2abf2a29b2efb987",
-        "f34611c737358c83", "2b2051822a68af60"}},
+        "5f5ba45c0ee6ae14", "2b2051822a68af60"}},
       {"inc_injected",
        [](SwarmConfig& c) { c.prover.enable_incremental = true; },
        [](Swarm& s, auto&) { inject_frames(s, /*incremental=*/true); },
        {"ad861194448e1d69", "f692c4c28b0920b6",
-        "4a52240e06d30f0f", "eaf79a5ed47b1c8c"}},
+        "7bfcad7dd937e936", "eaf79a5ed47b1c8c"}},
       {"inc_lossy10",
        [](SwarmConfig& c) {
          c.prover.enable_incremental = true;
@@ -304,7 +315,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"64f521c3cd428419", "800cd1bf46d335e6",
-        "03c2ea5eeff2801c", "33c2310a78c61c73"}},
+        "d94c380b2c1ba762", "33c2310a78c61c73"}},
       {"inc_bursty",
        [](SwarmConfig& c) {
          c.prover.enable_incremental = true;
@@ -312,7 +323,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"3f27fd2ccbbcd100", "1db4b347a94185f9",
-        "9be588c34292fbca", "ca231065e446bad3"}},
+        "b8662c9eafa849fc", "ca231065e446bad3"}},
       {"inc_hostile",
        [](SwarmConfig& c) {
          c.prover.enable_incremental = true;
@@ -320,7 +331,7 @@ const std::vector<Fleet>& fleets() {
        },
        nullptr,
        {"dcf6bbf77b361210", "58518a1dc4305aeb",
-        "d4d33df379c80b0e", "2855eb128ef9078c"}},
+        "d4d9be54a50fa6f8", "2855eb128ef9078c"}},
   };
   return kFleets;
 }
@@ -329,16 +340,22 @@ class SessionPins : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SessionPins, FleetOutputsMatchPins) {
   const Fleet& fleet = fleets()[GetParam()];
-  const Pins got = run_fleet(fleet);
-  EXPECT_EQ(got.trace, fleet.expected.trace) << "trace JSONL";
-  EXPECT_EQ(got.profile, fleet.expected.profile) << "profile JSONL";
-  EXPECT_EQ(got.registry, fleet.expected.registry) << "registry text";
-  EXPECT_EQ(got.stats, fleet.expected.stats) << "device stats";
-  // Regenerating the table after an intended change: copy these lines.
-  if (HasFailure()) {
-    std::printf("{\"%s\", \"%s\",\n \"%s\", \"%s\"}},  // %s\n",
-                got.trace.c_str(), got.profile.c_str(), got.registry.c_str(),
-                got.stats.c_str(), fleet.name);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const Pins got = run_fleet(fleet, threads);
+    EXPECT_EQ(got.trace, fleet.expected.trace) << "trace JSONL";
+    EXPECT_EQ(got.profile, fleet.expected.profile) << "profile JSONL";
+    EXPECT_EQ(got.registry, fleet.expected.registry) << "registry text";
+    EXPECT_EQ(got.stats, fleet.expected.stats) << "device stats";
+    // Regenerating the table after an intended change: copy these lines.
+    if (HasFailure()) {
+      std::printf("{\"%s\", \"%s\",\n \"%s\", \"%s\"}},"
+                  "  // %s, %zu threads\n",
+                  got.trace.c_str(), got.profile.c_str(),
+                  got.registry.c_str(), got.stats.c_str(), fleet.name,
+                  threads);
+      return;
+    }
   }
 }
 
