@@ -79,7 +79,7 @@ FleetRow run_fleet(std::size_t device_count, bool hardened) {
   // ...then the observer starts the clock on the measurement window and
   // the attacker replays the recording 20x per device.
   obs::Registry registry;
-  swarm.attach_observer(&registry, nullptr);
+  swarm.attach_observer(&registry);
   for (std::size_t i = 0; i < device_count; ++i) {
     if (taps[i].recorded_to_prover().empty()) continue;
     const crypto::Bytes recorded = taps[i].recorded_to_prover()[0].payload;

@@ -177,22 +177,33 @@ int main(int argc, char** argv) {
   config.stagger_ms = 61.0;
   sim::Swarm swarm(config, crypto::from_string("fleet-monitor-seed"));
 
+  // The fleet is one shard, so shard 0's ring holds the whole trace
+  // stream, in recording order.
   obs::Registry registry;
-  obs::RingRecorder ring(4096);
+  swarm.attach_sharded_observer(&registry, 4096);
+  const obs::RingRecorder& ring = *swarm.shard_ring(0);
   obs::ts::AlertConfig alert_config;
   alert_config.device_count = config.device_count;
   obs::ts::AlertEngine alerts(alert_config);
   DashboardSink dash;
-  // One trace stream, four consumers: ring (post-mortem), alert engine
-  // (online detection), dashboard rollups (the live view), and the
-  // battery meter — whose SoC gauges feed back into the alert engine so
-  // depletion shows up in the same live alert column.
+  // One trace stream, four consumers: the ring (post-mortem) and, fed
+  // from it after every slice, the alert engine (online detection), the
+  // dashboard rollups (the live view) and the battery meter — whose SoC
+  // gauges feed back into the alert engine so depletion shows up in the
+  // same live alert column.
   obs::power::PowerMeter battery(demo_battery());
   battery.set_sink(&alerts);
   obs::TeeSink analytics(alerts, dash);
-  obs::TeeSink power_chain(analytics, battery);
-  obs::TeeSink sink(ring, power_chain);
-  swarm.attach_observer(&registry, &sink);
+  obs::TeeSink live(analytics, battery);
+  std::uint64_t fed = 0;
+  const auto feed_live = [&ring, &live, &fed] {
+    const std::uint64_t fresh = ring.total_recorded() - fed;
+    const std::size_t from =
+        ring.size() - static_cast<std::size_t>(
+                          std::min<std::uint64_t>(fresh, ring.size()));
+    for (std::size_t i = from; i < ring.size(); ++i) live.record(ring.at(i));
+    fed = ring.total_recorded();
+  };
 
   // An adversary taps device 3's link (drops half its requests) and
   // replays device 5's recorded traffic.
@@ -235,6 +246,7 @@ int main(int argc, char** argv) {
   std::size_t alerts_printed = 0;
   for (double now = kFrameMs; now <= kHorizonMs; now += kFrameMs) {
     swarm.run_until(now);
+    feed_live();
     battery.finish(now);  // close the frame's gauge boundary
     double peak_burn = 0.0;
     for (std::size_t d = 0; d < config.device_count; ++d) {
@@ -311,7 +323,8 @@ int main(int argc, char** argv) {
   // 250 kbit/s airtime; genuine rounds cost the attacker nothing but are
   // listed so the operator sees the full request mix.
   obs::DosScoreboard scoreboard;
-  for (const auto& span : ring.snapshot()) {
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const obs::TraceRecord& span = ring.at(i);
     if (span.kind != "prover.handle") continue;
     const bool adversarial = span.outcome != "ok";
     const double airtime_ms =

@@ -275,14 +275,14 @@ void Swarm::fold_metrics() {
   }
 }
 
-void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink) {
+void Swarm::attach_observer(obs::Registry* registry, std::nullptr_t) {
   retarget_metrics(registry);
   for (auto& shard : shards_) {
     obs::Registry* metrics = shard->metrics.get();
     shard->queue.set_observer(metrics);
     // A ring left by attach_sharded_observer no longer records.
     if (shard->ring != nullptr) shard->ring->set_dropped_counter(nullptr);
-    shard->observer = obs::Observer{.registry = metrics, .sink = sink};
+    shard->observer = obs::Observer{.registry = metrics};
   }
   apply_observer_to_materialized();
   fold_metrics();  // the caller's registry lists the new instruments
@@ -395,13 +395,7 @@ void Swarm::run_until(double until_ms) {
 }
 
 std::size_t Swarm::run_all() {
-  // A sink shared by every shard is not synchronized, so a fleet attached
-  // that way drains on the calling thread; per-shard rings, a bare
-  // registry or no observer at all drain on the pool.
-  const obs::TraceSink* sink = shards_[0]->observer.sink;
-  const bool shared_sink = sink != nullptr && shards_.size() > 1 &&
-                           shards_[1]->observer.sink == sink;
-  return drain(shared_sink ? 1 : obs::tail_workers(shards_.size()));
+  return drain(obs::tail_workers(shards_.size()));
 }
 
 std::size_t Swarm::shard_budget(const Shard& shard) const {

@@ -48,6 +48,7 @@
 //     (K_Attest, freshness words, RAM) stays per-device.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -211,10 +212,12 @@ class Swarm {
   std::uint64_t batch_tags_computed() const;
 
   // Observer plan: every shard holds the obs::Observer its devices get
-  // (registry, sink, profile). The attach_* calls below re-point the
-  // shards and re-apply the plan to every materialized device; devices
-  // materialized later get their shard's observer on creation, so the
-  // attach order relative to materialization never shows in any output.
+  // (its own registry and, once traced, its own ring and profile — no
+  // shard shares a sink with another, so every drain may run on the
+  // pool). The attach_* calls below re-point the shards and re-apply the
+  // plan to every materialized device; devices materialized later get
+  // their shard's observer on creation, so the attach order relative to
+  // materialization never shows in any output.
   //
   // Metrics: the registry passed to attach_* is the fold target. Every
   // shard's queue, ring, batch engine and devices record into the shard's
@@ -225,14 +228,12 @@ class Swarm {
   // fleet-wide totals after every drain, deterministic at any thread
   // count. Re-attaching folds what is pending into the old target first.
 
-  /// Attach one registry/sink pair to the whole fleet: every prover,
-  /// verifier and session gets an Observer carrying its device index, and
-  /// every shard queue publishes its backlog gauges. Metrics aggregate
-  /// fleet-wide; traces stay per-device via device_id. The single shared
-  /// sink is NOT synchronized — use attach_sharded_observer() before
-  /// run_parallel() with more than one thread (run_all() keeps such a
-  /// fleet on the calling thread by itself).
-  void attach_observer(obs::Registry* registry, obs::TraceSink* sink);
+  /// Metrics only: every prover, verifier and session gets an Observer
+  /// carrying its device index and its shard's registry, and every shard
+  /// queue publishes its backlog gauges. Nothing is traced — for traces,
+  /// use attach_sharded_observer(). The second parameter accepts only
+  /// nullptr (the spelling older callers use for "no sink").
+  void attach_observer(obs::Registry* registry, std::nullptr_t = nullptr);
 
   /// Sharded tracing + profiling for parallel runs: every shard records
   /// into its own private RingRecorder (at most `ring_capacity` records
@@ -298,12 +299,8 @@ class Swarm {
   /// recording taps, priming injections). Returns the total stranded
   /// backlog (0 = fully drained). Shards drain on the obs pool, one
   /// worker per hardware thread (obs::tail_workers(shard_count())), under
-  /// run_parallel()'s contract: channel taps, scheduled callbacks and
-  /// sinks belong to their device's shard and are never shared across
-  /// shards. The one exception is a fleet whose observer plan holds a
-  /// single sink for every shard (attach_observer with a non-null sink):
-  /// that sink is not synchronized, so such a fleet drains on the
-  /// calling thread. Output is byte-identical either way.
+  /// run_parallel()'s contract: channel taps and scheduled callbacks
+  /// belong to their device's shard and are never shared across shards.
   std::size_t run_all();
   /// Report over [0, horizon_ms] from current state. events_leftover is
   /// the still-pending backlog across shards (0 after a drained run).

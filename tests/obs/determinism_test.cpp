@@ -26,14 +26,13 @@ RunResult run_observed_fleet(const char* seed) {
 
   Swarm swarm(config, crypto::from_string(seed));
   obs::Registry registry;
-  obs::RingRecorder ring(1024);
-  swarm.attach_observer(&registry, &ring);
+  swarm.attach_sharded_observer(&registry);
   (void)swarm.run_parallel(500.0, 1);
 
   std::ostringstream out;
-  const auto records = ring.snapshot();
+  const auto records = swarm.merged_trace();
   obs::write_jsonl(out, records);
-  return RunResult{out.str(), registry.to_text(), ring.total_recorded()};
+  return RunResult{out.str(), registry.to_text(), records.size()};
 }
 
 TEST(Determinism, SameSeedSameTraceAndMetrics) {
@@ -62,13 +61,12 @@ TEST(Determinism, TraceCoversProverAndVerifierSides) {
   config.attest_period_ms = 100.0;
   Swarm swarm(config, crypto::from_string("coverage-seed"));
   obs::Registry registry;
-  obs::RingRecorder ring(1024);
-  swarm.attach_observer(&registry, &ring);
+  swarm.attach_sharded_observer(&registry);
   const SwarmReport report = swarm.run_parallel(400.0, 1);
 
   std::uint64_t prover_spans = 0;
   std::uint64_t verifier_spans = 0;
-  for (const auto& rec : ring.snapshot()) {
+  for (const auto& rec : swarm.merged_trace()) {
     if (rec.kind == "prover.handle") ++prover_spans;
     if (rec.kind == "verifier.round") ++verifier_spans;
     EXPECT_LT(rec.device_id, 2u);

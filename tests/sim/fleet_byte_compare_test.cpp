@@ -322,7 +322,7 @@ LossyBatchRun lossy_reliable_fleet(std::size_t devices,
   config.retry.jitter_ms = 5.0;
   Swarm swarm(config, crypto::from_string(kFleetSeed));
   obs::Registry registry;
-  swarm.attach_observer(&registry, nullptr);
+  swarm.attach_observer(&registry);
   const SwarmReport report = swarm.run_parallel(horizon_ms, threads);
   EXPECT_EQ(report.events_leftover, 0u);
   return {counter_value(registry, "verifier.checks.valid"),
@@ -416,7 +416,7 @@ TEST(FleetRegistry, ShardsRecordIntoPrivateInstruments) {
     // each shard's devices have attested ~10 times by then.
     Swarm swarm(config, crypto::from_string(kFleetSeed));
     obs::Registry registry;
-    swarm.attach_observer(&registry, nullptr);
+    swarm.attach_observer(&registry);
     std::vector<std::uint64_t> seen(config.shard_count, 1);
     for (std::size_t s = 0; s < config.shard_count; ++s) {
       swarm.queue_of(s * per_shard).schedule_at(999.0, [&registry, &seen, s] {
@@ -438,7 +438,7 @@ TEST(FleetRegistry, ShardsRecordIntoPrivateInstruments) {
     // later write (backlog 0).
     Swarm swarm(config, crypto::from_string(kFleetSeed));
     obs::Registry registry;
-    swarm.attach_observer(&registry, nullptr);
+    swarm.attach_observer(&registry);
     swarm.queue_of(config.device_count - 1).schedule_at(100.0, [] {});
     swarm.queue_of(0).schedule_at(10.0, [] {});
     swarm.queue_of(0).schedule_at(20.0, [] {});

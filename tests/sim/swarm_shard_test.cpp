@@ -8,6 +8,7 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ratt/sim/fleet_health.hpp"
@@ -41,62 +42,74 @@ TEST(SwarmShard, PlanCoversEveryDeviceOnce) {
   }
 }
 
-// Remembers the thread every record arrives on. Unsynchronized, like any
-// sink attach_observer() shares across all shards. The first record
-// stalls its shard for 20 ms, so a pooled drain would hand the other
-// shards to other threads meanwhile.
-class ThreadRecordingSink : public obs::TraceSink {
- public:
-  void record(const obs::TraceRecord&) override {
-    if (threads.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    threads.push_back(std::this_thread::get_id());
-  }
-  std::vector<std::thread::id> threads;
-};
+// The registry-only plan takes no sink: one sink handed to every shard
+// would be written by every drain worker at once.
+static_assert(std::is_invocable_v<decltype(&Swarm::attach_observer), Swarm&,
+                                  obs::Registry*, std::nullptr_t>);
+static_assert(!std::is_invocable_v<decltype(&Swarm::attach_observer),
+                                   Swarm&, obs::Registry*, obs::TraceSink*>);
 
-TEST(SwarmShard, RunAllKeepsASharedSinkOnTheCallingThread) {
-  Swarm swarm(fleet(8, 4), crypto::from_string("shard-seed"));
-  obs::Registry registry;
-  ThreadRecordingSink sink;
-  swarm.attach_observer(&registry, &sink);
-  for (std::size_t i = 0; i < swarm.size(); ++i) {
-    swarm.session(i).send_request();
-  }
-  EXPECT_EQ(swarm.run_all(), 0u);
-  ASSERT_FALSE(sink.threads.empty());
-  for (const std::thread::id id : sink.threads) {
-    EXPECT_EQ(id, std::this_thread::get_id());
-  }
-  EXPECT_EQ(swarm.report(0.0).total_valid(), 8u);
-}
+enum class Plan { kNone, kRegistry, kSharded, kPower };
 
 TEST(SwarmShard, RunAllDrainsShardsOnThePool) {
   if (std::thread::hardware_concurrency() < 2) {
     GTEST_SKIP() << "needs two hardware threads";
   }
   // Each shard's first event waits for the other's: both get past the
-  // wait only when two workers drain the shards at the same time.
-  Swarm swarm(fleet(2, 2), crypto::from_string("shard-seed"));
-  std::atomic<int> arrived{0};
-  bool met[2] = {false, false};
-  for (std::size_t i = 0; i < 2; ++i) {
-    swarm.queue_of(i).schedule_at(0.5, [&arrived, &met, i] {
-      arrived.fetch_add(1);
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      met[i] = arrived.load() >= 2;
-    });
-    swarm.session(i).send_request();
+  // wait only when two workers drain the shards at the same time — under
+  // every observer plan, since no plan shares anything across shards.
+  for (const Plan plan :
+       {Plan::kNone, Plan::kRegistry, Plan::kSharded, Plan::kPower}) {
+    SCOPED_TRACE(static_cast<int>(plan));
+    Swarm swarm(fleet(2, 2), crypto::from_string("shard-seed"));
+    obs::Registry registry;
+    switch (plan) {
+      case Plan::kNone:
+        break;
+      case Plan::kRegistry:
+        swarm.attach_observer(&registry);
+        break;
+      case Plan::kSharded:
+        swarm.attach_sharded_observer(&registry);
+        break;
+      case Plan::kPower:
+        // attach_power() brings up the shard rings itself, keeping the
+        // attached registry.
+        swarm.attach_observer(&registry);
+        swarm.attach_power();
+        break;
+    }
+    std::atomic<int> arrived{0};
+    bool met[2] = {false, false};
+    for (std::size_t i = 0; i < 2; ++i) {
+      swarm.queue_of(i).schedule_at(0.5, [&arrived, &met, i] {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (arrived.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        met[i] = arrived.load() >= 2;
+      });
+      swarm.session(i).send_request();
+    }
+    EXPECT_EQ(swarm.run_all(), 0u);
+    EXPECT_TRUE(met[0]);
+    EXPECT_TRUE(met[1]);
+    EXPECT_EQ(swarm.report(0.0).total_valid(), 2u);
+    if (plan == Plan::kSharded || plan == Plan::kPower) {
+      EXPECT_FALSE(swarm.merged_trace().empty());
+    }
+    if (plan == Plan::kPower) {
+      EXPECT_EQ(swarm.merged_power_traces().size(), 2u);
+    }
+    if (plan != Plan::kNone) {
+      const obs::Counter* events = registry.find_counter("queue.events_run");
+      ASSERT_NE(events, nullptr);
+      EXPECT_GT(events->count(), 0u);
+    }
   }
-  EXPECT_EQ(swarm.run_all(), 0u);
-  EXPECT_TRUE(met[0]);
-  EXPECT_TRUE(met[1]);
-  EXPECT_EQ(swarm.report(0.0).total_valid(), 2u);
 }
 
 TEST(SwarmShard, ShardCountClampedToDevices) {
@@ -166,9 +179,8 @@ TEST(SwarmShard, ReportAndTraceIdenticalAtAnyShardCount) {
 }
 
 TEST(SwarmShard, ParallelRunMatchesSerialLegacyRun) {
-  // The pre-sharding API (shared registry + one shared sink via
-  // attach_observer) still produces the same report when the fleet is
-  // driven through run_parallel() on one thread.
+  // A 1-shard fleet run on one thread and a 3-shard fleet on four
+  // workers give the same report.
   Swarm legacy(fleet(6, 1), crypto::from_string("shard-seed"));
   const SwarmReport serial = legacy.run_parallel(600.0, 1);
   Swarm sharded(fleet(6, 3), crypto::from_string("shard-seed"));
