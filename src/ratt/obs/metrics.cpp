@@ -16,73 +16,8 @@ void append_double(std::string& out, double v) {
 
 }  // namespace
 
-void Counter::merge(const Counter& from) {
-  if (from.count() == 0) return;
-  value_.store(value() + from.value(), std::memory_order_relaxed);
-  count_.store(count() + from.count(), std::memory_order_relaxed);
-}
-
-void Counter::reset() {
-  value_.store(0.0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-}
-
-void Gauge::merge(const Gauge& from) {
-  if (from.sets() == 0) return;
-  value_.store(from.value(), std::memory_order_relaxed);
-  sets_.store(sets() + from.sets(), std::memory_order_relaxed);
-  detail::atomic_max(max_, from.max_.load(std::memory_order_relaxed));
-}
-
-void Gauge::reset() {
-  value_.store(0.0, std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  sets_.store(0, std::memory_order_relaxed);
-}
-
-void Histogram::merge(const Histogram& from) {
-  if (from.count() == 0) return;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].fetch_add(from.buckets_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-  count_.store(count() + from.count(), std::memory_order_relaxed);
-  sum_.store(sum() + from.sum(), std::memory_order_relaxed);
-  detail::atomic_min(min_, from.min_.load(std::memory_order_relaxed));
-  detail::atomic_max(max_, from.max_.load(std::memory_order_relaxed));
-}
-
-void Histogram::reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
 std::vector<double> default_latency_bounds_ms() {
   return {0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
-}
-
-const Counter* Registry::find_counter(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram* Registry::find_histogram(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void Registry::merge(const Registry& from) {
@@ -90,7 +25,6 @@ void Registry::merge(const Registry& from) {
     throw std::invalid_argument(
         "obs::Registry::merge: cannot fold into itself");
   }
-  const std::scoped_lock lock(mutex_, from.mutex_);
   // Check every histogram pair first, so a mismatch changes nothing.
   for (const auto& [name, h] : from.histograms_) {
     const auto it = histograms_.find(name);
@@ -111,7 +45,6 @@ void Registry::merge(const Registry& from) {
 }
 
 void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
   for (auto& [name, h] : histograms_) h.reset();
@@ -149,10 +82,9 @@ std::string Registry::to_text() const {
     out += " max=";
     append_double(out, h.max());
     out += " buckets=[";
-    const std::vector<std::uint64_t> buckets = h.buckets();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
+    for (std::size_t i = 0; i < h.buckets_.size(); ++i) {
       if (i != 0) out += ',';
-      append_double(out, static_cast<double>(buckets[i]));
+      append_double(out, static_cast<double>(h.buckets_[i]));
     }
     out += "]\n";
   }

@@ -11,22 +11,19 @@
 //   * header-mostly — only the export/snapshot/merge helpers live in a
 //     .cpp.
 //
-// Concurrency contract: registration (Registry::counter/gauge/histogram,
-// get-or-create) is serialized by a mutex, and the instruments themselves
-// are thread-safe — inc()/set()/observe() use relaxed atomics, so writers
-// on several threads never race and never lose an update. Counts,
-// histogram buckets, min and max (and gauge high-waters) are then exact
-// at any thread count, but the double sums (counter value(), histogram
-// sum()) are exact only to rounding: float addition is not associative,
-// so their last bits follow the order the additions land in, and a gauge
-// keeps whichever set() landed last.
+// Single-writer contract: an instrument has one writer at a time, and
+// nothing here synchronizes. Two threads writing one instrument, or
+// registering into one Registry, is a data race (ThreadSanitizer
+// reports it).
 //
-// The sharded Swarm therefore never lets two threads write one
-// instrument: every shard records into a private Registry, and after
-// each drain the shards are folded into the caller's registry in shard
-// order (Registry::merge, then reset). Every instrument is cache-line
+// The sharded Swarm keeps the contract by giving every shard a private
+// Registry: a shard's instruments are written only by the worker that
+// drains that shard. After each drain the caller folds the shards into
+// its own registry in shard order (Registry::merge, then reset); the
+// pool's join orders every shard write before that fold, and it is the
+// only synchronization the metrics need. Every instrument is cache-line
 // aligned (and a histogram's buckets own their lines), so two shards'
-// instruments never share a line either. Folded in a fixed order, the
+// instruments never share a line. Folded in a fixed order, the double
 // sums are deterministic at any thread count. A folded gauge takes the
 // value of the last registry, in fold order, that set it since its last
 // reset; its max and set count cover every registry.
@@ -37,15 +34,14 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ratt::obs {
@@ -55,22 +51,6 @@ namespace ratt::obs {
 inline constexpr std::size_t kCacheLine = 64;
 
 namespace detail {
-
-/// Relaxed fetch-max for doubles (no fetch_max in the standard): CAS loop
-/// that only writes when `v` actually raises the stored value.
-inline void atomic_max(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v > cur && !target.compare_exchange_weak(
-                        cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-inline void atomic_min(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v < cur && !target.compare_exchange_weak(
-                        cur, v, std::memory_order_relaxed)) {
-  }
-}
 
 /// Allocates whole, aligned cache lines, so nothing else lives on the
 /// lines a histogram's bucket array writes.
@@ -103,70 +83,62 @@ class Registry;
 /// Monotonically accumulating value. `value()` is the sum of all inc()
 /// arguments (so fractional quantities — milliseconds, millijoules —
 /// accumulate as given); `count()` is the number of inc() calls.
-/// Thread-safe: concurrent inc() never loses an update, though a
-/// fractional value() is then exact only to rounding.
 class alignas(kCacheLine) Counter {
  public:
   void inc(double v = 1.0) {
-    value_.fetch_add(v, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    value_ += v;
+    ++count_;
   }
 
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  double value() const { return value_; }
+  std::uint64_t count() const { return count_; }
 
  private:
   friend class Registry;
-  // Registry::merge / reset: no writer may be active on either side.
-  void merge(const Counter& from);
-  void reset();
+  void merge(const Counter& from) {
+    value_ += from.value_;
+    count_ += from.count_;
+  }
+  void reset() { *this = Counter{}; }
 
-  std::atomic<double> value_{0.0};
-  std::atomic<std::uint64_t> count_{0};
+  double value_ = 0.0;
+  std::uint64_t count_ = 0;
 };
 
 /// Last-write-wins value with a high-water mark (useful for backlogs and
 /// queue depths, where the peak matters as much as the final value).
-/// Thread-safe; max() — a max over all set values — is deterministic even
-/// under concurrent setters, while value() is whichever write landed last.
 class alignas(kCacheLine) Gauge {
  public:
   void set(double v) {
-    value_.store(v, std::memory_order_relaxed);
-    sets_.fetch_add(1, std::memory_order_relaxed);
-    detail::atomic_max(max_, v);
+    value_ = v;
+    ++sets_;
+    max_ = std::max(max_, v);
   }
 
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  double value() const { return value_; }
   /// High-water mark; 0.0 before the first set() (never -inf), matching
   /// Histogram::min/max on an empty instrument.
-  double max() const {
-    return sets_.load(std::memory_order_relaxed) == 0
-               ? 0.0
-               : max_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sets() const {
-    return sets_.load(std::memory_order_relaxed);
-  }
+  double max() const { return sets_ == 0 ? 0.0 : max_; }
+  std::uint64_t sets() const { return sets_; }
 
  private:
   friend class Registry;
-  void merge(const Gauge& from);
-  void reset();
+  void merge(const Gauge& from) {
+    if (from.sets_ == 0) return;  // `from` leaves the value alone
+    value_ = from.value_;
+    sets_ += from.sets_;
+    max_ = std::max(max_, from.max_);
+  }
+  void reset() { *this = Gauge{}; }
 
-  std::atomic<double> value_{0.0};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-  std::atomic<std::uint64_t> sets_{0};
+  double value_ = 0.0;
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::uint64_t sets_ = 0;
 };
 
 /// Fixed-bucket histogram. Bucket i counts observations <= bounds[i]
 /// (first matching bound); observations above the last bound land in the
 /// overflow bucket, so buckets().size() == bounds().size() + 1.
-/// observe() is thread-safe; bucket counts, count, min and max are exact
-/// under concurrency, while sum is exact only to rounding when several
-/// threads observe (its last bits follow the interleaving).
 class alignas(kCacheLine) Histogram {
  public:
   explicit Histogram(std::vector<double> bounds)
@@ -181,51 +153,52 @@ class alignas(kCacheLine) Histogram {
     const std::size_t i = static_cast<std::size_t>(
         std::lower_bound(bounds_.begin(), bounds_.end(), v) -
         bounds_.begin());
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    detail::atomic_min(min_, v);
-    detail::atomic_max(max_, v);
+    ++buckets_[i];
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
   }
 
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
   double mean() const {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  double min() const {
-    return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-  }
-  double max() const {
-    return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-  }
+  double min() const { return count_ == 0 ? 0.0 : min_; }
+  double max() const { return count_ == 0 ? 0.0 : max_; }
   const std::vector<double>& bounds() const { return bounds_; }
-  /// Snapshot of the bucket counts (a copy: the live array is atomic).
+  /// Copy of the bucket counts.
   std::vector<std::uint64_t> buckets() const {
-    std::vector<std::uint64_t> out(buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      out[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-    return out;
+    return {buckets_.begin(), buckets_.end()};
   }
 
  private:
   friend class Registry;
   /// Bounds must be equal (Registry::merge checks before folding).
-  void merge(const Histogram& from);
-  void reset();
+  void merge(const Histogram& from) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      buckets_[i] += from.buckets_[i];
+    }
+    count_ += from.count_;
+    sum_ += from.sum_;
+    min_ = std::min(min_, from.min_);
+    max_ = std::max(max_, from.max_);
+  }
+  void reset() {
+    std::fill(buckets_.begin(), buckets_.end(), 0);
+    count_ = 0;
+    sum_ = 0.0;
+    min_ = std::numeric_limits<double>::infinity();
+    max_ = -std::numeric_limits<double>::infinity();
+  }
 
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>,
-              detail::LineAllocator<std::atomic<std::uint64_t>>>
-      buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  std::vector<std::uint64_t, detail::LineAllocator<std::uint64_t>> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Default histogram bounds for prover-side latencies: spans the one-block
@@ -235,12 +208,9 @@ std::vector<double> default_latency_bounds_ms();
 
 /// Instrument registry. Instruments live as long as the registry; the
 /// node-based containers guarantee stable addresses, so cached references
-/// survive later registrations. Registration and name lookup are
-/// mutex-serialized and allocate only when they create an instrument;
-/// the returned instruments are safe to update from any thread without
-/// the lock. The whole-map accessors, to_text(), merge() and reset() are
-/// for quiescent registries — do not call them while workers may
-/// register or record.
+/// survive later registrations. Registration allocates only when it
+/// creates an instrument. The whole-map accessors, to_text(), merge() and
+/// reset() read or write every instrument: no writer may be active.
 class Registry {
  public:
   Registry() = default;
@@ -249,39 +219,26 @@ class Registry {
 
   /// Get-or-create. Registration is the only allocating step.
   Counter& counter(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = counters_.lower_bound(name);
-    if (it != counters_.end() && it->first == name) return it->second;
-    return counters_.try_emplace(it, std::string(name))->second;
+    return get_or_create(counters_, name);
   }
-  Gauge& gauge(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = gauges_.lower_bound(name);
-    if (it != gauges_.end() && it->first == name) return it->second;
-    return gauges_.try_emplace(it, std::string(name))->second;
-  }
+  Gauge& gauge(std::string_view name) { return get_or_create(gauges_, name); }
   Histogram& histogram(std::string_view name) {
-    // Build the default bounds vector only on the miss path — the common
-    // repeated lookup must not allocate.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.lower_bound(name);
-    if (it != histograms_.end() && it->first == name) return it->second;
-    return histograms_
-        .try_emplace(it, std::string(name), default_latency_bounds_ms())
-        ->second;
+    return get_or_create(histograms_, name, DefaultBounds{});
   }
   Histogram& histogram(std::string_view name, std::vector<double> bounds) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.lower_bound(name);
-    if (it != histograms_.end() && it->first == name) return it->second;
-    return histograms_.try_emplace(it, std::string(name), std::move(bounds))
-        ->second;
+    return get_or_create(histograms_, name, std::move(bounds));
   }
 
   /// Lookup without creation (nullptr if absent) — for report writers.
-  const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
+  const Counter* find_counter(std::string_view name) const {
+    return find(counters_, name);
+  }
+  const Gauge* find_gauge(std::string_view name) const {
+    return find(gauges_, name);
+  }
+  const Histogram* find_histogram(std::string_view name) const {
+    return find(histograms_, name);
+  }
 
   const std::map<std::string, Counter, std::less<>>& counters() const {
     return counters_;
@@ -313,10 +270,31 @@ class Registry {
   std::string to_text() const;
 
  private:
-  // Guards the maps' structure only; the instruments inside stay
-  // lock-free. mutable so the const find_* lookups can serialize against
-  // concurrent registration.
-  mutable std::mutex mutex_;
+  /// Converts to the default bounds only when a histogram is built, so a
+  /// lookup that hits allocates nothing.
+  struct DefaultBounds {
+    operator std::vector<double>() const { return default_latency_bounds_ms(); }
+  };
+
+  /// A hit builds no key and no constructor argument.
+  template <class Map, class... Args>
+  static typename Map::mapped_type& get_or_create(Map& map,
+                                                  std::string_view name,
+                                                  Args&&... args) {
+    const auto it = map.lower_bound(name);
+    if (it != map.end() && it->first == name) return it->second;
+    return map
+        .try_emplace(it, std::string(name), std::forward<Args>(args)...)
+        ->second;
+  }
+
+  template <class Map>
+  static const typename Map::mapped_type* find(const Map& map,
+                                               std::string_view name) {
+    const auto it = map.find(name);
+    return it == map.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;

@@ -1,6 +1,5 @@
 #include "ratt/sim/swarm.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -425,20 +424,20 @@ std::size_t Swarm::shard_budget(const Shard& shard) const {
 
 std::size_t Swarm::drain(std::size_t threads) {
   // Shards are fully independent event streams, one per pool ticket. All
-  // cross-thread state is the ticket and the leftover tally: each shard
-  // records into its own registry (lazy materialization only ever happens
-  // on a device's owning shard worker), folded into the caller's in shard
-  // order once every worker has joined. run_all's bounded drain leaves any
-  // stranded backlog pending, which report() picks up as events_leftover.
-  std::atomic<std::size_t> leftover{0};
+  // cross-thread state is the ticket: each shard records into its own
+  // registry (lazy materialization only ever happens on a device's owning
+  // shard worker), folded into the caller's in shard order once every
+  // worker has joined. run_all's bounded drain leaves any stranded
+  // backlog pending, which is what this returns and what report() picks
+  // up as events_leftover.
   obs::parallel_for(shards_.size(), std::min(threads, shards_.size()),
-                    [this, &leftover](std::size_t s) {
-                      leftover.fetch_add(
-                          shards_[s]->queue.run_all(shard_budget(*shards_[s])),
-                          std::memory_order_relaxed);
+                    [this](std::size_t s) {
+                      shards_[s]->queue.run_all(shard_budget(*shards_[s]));
                     });
   fold_metrics();
-  return leftover.load(std::memory_order_relaxed);
+  std::size_t leftover = 0;
+  for (const auto& shard : shards_) leftover += shard->queue.pending();
+  return leftover;
 }
 
 SwarmReport Swarm::report(double horizon_ms) const {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -110,6 +111,28 @@ TEST(SwarmShard, RunAllDrainsShardsOnThePool) {
       EXPECT_GT(events->count(), 0u);
     }
   }
+}
+
+TEST(SwarmShard, RunAllReturnsEveryShardsStrandedBacklog) {
+  // Self-rescheduling chains never drain: with nothing scheduled, each
+  // shard's run_all budget is the 1 M-event floor, after which shard 0
+  // strands its one chain and shard 1 its two.
+  Swarm swarm(fleet(2, 2), crypto::from_string("shard-seed"));
+  ASSERT_NE(&swarm.queue_of(0), &swarm.queue_of(1));
+  std::function<void()> ticks[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    EventQueue& queue = swarm.queue_of(i);
+    ticks[i] = [&queue, &tick = ticks[i]] { queue.schedule_in(1.0, tick); };
+    for (std::size_t chain = 0; chain <= i; ++chain) {
+      queue.schedule_at(0.0, ticks[i]);
+    }
+  }
+  const std::size_t leftover = swarm.run_all();
+  EXPECT_EQ(swarm.queue_of(0).pending(), 1u);
+  EXPECT_EQ(swarm.queue_of(1).pending(), 2u);
+  EXPECT_EQ(leftover,
+            swarm.queue_of(0).pending() + swarm.queue_of(1).pending());
+  EXPECT_EQ(swarm.report(0.0).events_leftover, leftover);
 }
 
 TEST(SwarmShard, ShardCountClampedToDevices) {
